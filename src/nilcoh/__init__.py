@@ -3,6 +3,8 @@ subgroups, their first Frobenius kernels, and quantum analogs at a root of
 unity: decomposition theorems, graded characters, explicit ring structure,
 and independent brute-force verification, all in exact arithmetic."""
 
+__version__ = "1.0.0"  # set before the submodules import it
+
 from .alcoves import (AdmissibilityProfile, LinkageDatum, PreconditionError,
                       admissibility, in_alcove, j_restricted,
                       require_admissible, weak_linkage)
@@ -25,7 +27,5 @@ from .rootsystem import RootSystem, build
 from .verify import (Violation, consistency_suite, search_dot_collisions,
                      search_levi_weights, search_sum_dot)
 from .weyl import GroupTooLargeError, WeylElement, WeylGroup, enumerate_group
-
-__version__ = "1.0.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

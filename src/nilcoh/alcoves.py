@@ -15,6 +15,12 @@ class PreconditionError(ValueError):
     """A stated precondition (alcove membership, modulus bound, gate) failed."""
 
 
+def require_prime(p, what: str) -> None:
+    """F_p elimination inverts pivots as x^(p-2), which needs p prime."""
+    if p is None or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise PreconditionError(f"{what} needs a prime p, got {p}")
+
+
 @dataclass(frozen=True)
 class LinkageDatum:
     """lambda = w.0 + modulus * sigma, with sigma zero or minuscule."""

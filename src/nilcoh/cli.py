@@ -47,7 +47,7 @@ def _parse_lambda(text: str, rank: int) -> tuple:
 
 def _config_dict(args) -> dict:
     keys = ("command", "type", "p", "l", "J", "lam", "max_degree", "format",
-            "unsafe", "mode", "domain", "check_square", "threads")
+            "unsafe", "mode", "domain", "check_square")
     out = {}
     for k in keys:
         if hasattr(args, k):
@@ -121,9 +121,6 @@ def _add_common(sp, need_lambda=False):
     sp.add_argument("--format", choices=FORMATS, default="json")
     sp.add_argument("--unsafe", action="store_true",
                     help="compute formal models below the stated bounds")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; results are"
-                         " independent of the value")
 
 
 def _mode_modulus(args):
@@ -294,6 +291,8 @@ def _run(args) -> dict:
     if cmd == "ext":
         if args.p is None:
             raise PreconditionError("ext needs --p")
+        if args.check_square and rs.rank < 2:
+            raise PreconditionError("--check-square needs rank >= 2")
         alg = build_algebra(J, args.p, rs)
         gc, res = ext_dims(alg, args.max_degree)
         example = None

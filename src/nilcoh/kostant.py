@@ -17,7 +17,7 @@ from .characters import (FormalCharacter, GradedCharacter, euler_induction,
                          frobenius_twist, levi_simple_character,
                          symmetric_character)
 from .rootsystem import RootSystem
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 
 MODES = ("modular", "quantum", "classical")
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
 from .linalg import rank_frac, rank_mod_p, solve_frac, solve_mod_p
 from .rootsystem import RootSystem, build
@@ -145,6 +146,23 @@ def _constants_cached(label: str):
     return tuple(sorted(out.items()))
 
 
+def nilradical_constants(rs: RootSystem, roots) -> dict:
+    """Chevalley constants restricted to the nilradical with the given roots
+    (an ideal in u, so sums stay in it): {(a, b): (k, N)} for positions
+    a < b in `roots`, meaning [x_a, x_b] = N * x_k."""
+    index = {g: k for k, g in enumerate(roots)}
+    pos = rs.positive_roots
+    out = {}
+    for (i, j), val in _constants_cached(rs.label):
+        gi, gj = pos[i], pos[j]
+        if gi in index and gj in index:
+            a, b = index[gi], index[gj]
+            if a > b:
+                a, b, val = b, a, -val
+            out[(a, b)] = (index[tuple(x + y for x, y in zip(gi, gj))], val)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Chevalley-Eilenberg complex
 
@@ -162,18 +180,7 @@ class CEComplex:
                 f"nilradical has {len(self.roots)} roots; oracle supports"
                 f" at most {MAX_ORACLE_ROOTS}")
         self.index = {g: k for k, g in enumerate(self.roots)}
-        full = chevalley_constants(rs)
-        fullpos = rs.positive_roots
-        # restrict constants to the nilradical (an ideal in u, so sums stay in)
-        self.N = {}
-        for (i, j), val in full.items():
-            gi, gj = fullpos[i], fullpos[j]
-            if gi in self.index and gj in self.index:
-                a, b = self.index[gi], self.index[gj]
-                if a > b:
-                    a, b = b, a
-                    val = -val
-                self.N[(a, b)] = val
+        self.N = nilradical_constants(rs, self.roots)
         self._check_d_squared()
 
     def weight_of(self, subset) -> tuple:
@@ -189,13 +196,7 @@ class CEComplex:
 
     def d_generator(self, k: int) -> dict:
         """d f_k = -sum_{a<b, gamma_a+gamma_b=gamma_k} N_{ab} f_a ^ f_b."""
-        out = {}
-        gk = self.roots[k]
-        for (a, b), val in self.N.items():
-            s = tuple(p + q for p, q in zip(self.roots[a], self.roots[b]))
-            if s == gk:
-                out[(a, b)] = out.get((a, b), 0) - val
-        return out
+        return {ab: -val for ab, (t, val) in self.N.items() if t == k}
 
     def d_basis_element(self, subset) -> dict:
         """Derivation extension: d(f_S) as dict {sorted subset: coeff}."""
@@ -260,11 +261,11 @@ def oracle_cohomology(J, rs: RootSystem, field: str = "Q",
     field is "Q" or "Fp" (the latter needs p).  Returns the graded
     character; each degree's support lists T-weights with multiplicity.
     """
-    ce = CEComplex(J, rs)
     if field not in ("Q", "Fp"):
         raise ValueError("field must be 'Q' or 'Fp'")
-    if field == "Fp" and (p is None or p < 2):
-        raise ValueError("Fp oracle needs a prime p")
+    if field == "Fp":
+        require_prime(p, "the F_p oracle")
+    ce = CEComplex(J, rs)
     n = len(ce.roots)
     gc = GradedCharacter()
     # per-weight ranks of d at each degree
@@ -321,6 +322,8 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
     Returns a dict {w: coeff} over minimal-length elements whose inversion
     cochains span the target cohomology weight block (empty dict = zero).
     """
+    if field == "Fp":
+        require_prime(p, "the F_p cup product")
     ce = CEComplex((), rs)
     s1 = inversion_cocycle(w1, group, ce)
     s2 = inversion_cocycle(w2, group, ce)
@@ -374,8 +377,6 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
     if field == "Q":
         sol = solve_frac(matrix, rhs)
     else:
-        if p is None or p < 2:
-            raise ValueError("Fp cup product needs a prime p")
         sol = solve_mod_p(matrix, [x % p for x in rhs], p)
     if sol is None:
         raise RuntimeError("cup product not expressible; complex inconsistent")

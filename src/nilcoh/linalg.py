@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists.  Blocks coming out of the weight-graded
 complexes are small (tens of rows), so plain Gaussian elimination is fine;
-what matters is that every pivot decision is exact.
+what matters is that every pivot decision is exact.  `echelon` is the one
+elimination routine; rank, nullspace and solve are views over it.
 """
 
 from __future__ import annotations
@@ -10,57 +11,66 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in rows]
-    return _eliminate_mod_p(m, p)
+def echelon(rows, p: int | None = None):
+    """Reduced row echelon form over F_p (p prime), or over Q when p is None.
 
-
-def _eliminate_mod_p(m: list[list[int]], p: int) -> int:
+    Returns (nonzero reduced rows, pivot column list); entries are ints in
+    [0, p) over F_p and Fractions over Q."""
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in rows]
+    else:
+        m = [[x % p for x in row] for row in rows]
     if not m or not m[0]:
-        return 0
+        return [], []
     nrows, ncols = len(m), len(m[0])
-    rank = 0
+    pivots = []
     for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] % p), None)
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
+        if p is None:
+            inv = 1 / m[rank][col]
+            top = m[rank] = [x * inv for x in m[rank]]
+        else:
+            inv = pow(m[rank][col], p - 2, p)
+            top = m[rank] = [(x * inv) % p for x in m[rank]]
         for r in range(nrows):
-            if r != rank and m[r][col] % p:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
+            f = m[r][col]
+            if r == rank or not f:
+                continue
+            if p is None:
+                m[r] = [x - f * y for x, y in zip(m[r], top)]
+            else:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], top)]
+        pivots.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return m[:len(pivots)], pivots
+
+
+def _solve(rows, rhs, p):
+    """One solution x of rows @ x = rhs (over F_p, or Q when p is None)."""
+    if not rows:
+        return None if any(v % p if p else v for v in rhs) else []
+    ncols = len(rows[0])
+    red, pivots = echelon([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    if pivots and pivots[-1] == ncols:
+        return None  # inconsistent
+    x = [0 if p else Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    return len(echelon(rows, p)[1])
 
 
 def rref_mod_p(rows: list[list[int]], p: int):
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [[x % p for x in row] for row in rows]
-    if not m or not m[0]:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] % p:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
+    return echelon(rows, p)
 
 
 def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -68,83 +78,29 @@ def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots = rref_mod_p(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    rref, pivots = echelon(rows, p)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [0] * ncols
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][fc]) % p
+        for row, pc in zip(rref, pivots):
+            v[pc] = (-row[fc]) % p
         basis.append(v)
     return basis
 
 
 def solve_mod_p(rows: list[list[int]], rhs: list[int], p: int):
     """One solution x of rows @ x = rhs over F_p, or None."""
-    if not rows:
-        return None if any(v % p for v in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    rref, pivots = rref_mod_p(aug, p)
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # inconsistent
-        x[pc] = rref[r][ncols] % p
-    return x
+    return _solve(rows, rhs, p)
 
 
 def rank_frac(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(echelon(rows)[1])
 
 
 def solve_frac(rows, rhs):
     """One rational solution of rows @ x = rhs, or None."""
-    if not rows:
-        return None if any(Fraction(v) != 0 for v in rhs) else []
-    ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    nrows = len(m)
-    pivots = []
-    rank = 0
-    for col in range(ncols + 1):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = m[r][ncols]
-    return x
+    return _solve(rows, rhs, None)

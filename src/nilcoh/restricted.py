@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
-from .koszul import chevalley_constants
+from .koszul import nilradical_constants
 from .linalg import nullspace_mod_p, rref_mod_p, solve_mod_p
 from .rootsystem import RootSystem
 
@@ -28,6 +29,7 @@ class RestrictedAlgebra:
 
     def __init__(self, J, p: int, rs: RootSystem,
                  dim_budget: int = DEFAULT_DIM_BUDGET):
+        require_prime(p, "the restricted enveloping algebra")
         self.rs = rs
         self.p = p
         self.J = tuple(sorted(set(J)))
@@ -36,21 +38,10 @@ class RestrictedAlgebra:
         if p ** self.n > dim_budget:
             raise BudgetError(
                 f"algebra dimension p^N = {p}^{self.n} exceeds budget {dim_budget}")
-        # structure constants restricted to the nilradical, indexed by
-        # nilradical positions (a < b): [x_a, x_b] = c * x_{a+b}
-        full = chevalley_constants(rs)
-        pos = rs.positive_roots
+        # [x_a, x_b] = c * x_k for nilradical positions a < b, c mod p
         self.index = {g: k for k, g in enumerate(self.roots)}
-        self.bracket = {}
-        for (i, j), val in full.items():
-            gi, gj = pos[i], pos[j]
-            if gi in self.index and gj in self.index:
-                a, b = self.index[gi], self.index[gj]
-                if a > b:
-                    a, b = b, a
-                    val = -val
-                s = tuple(x + y for x, y in zip(gi, gj))
-                self.bracket[(a, b)] = (self.index[s], val % p)
+        self.bracket = {ab: (k, val % p) for ab, (k, val)
+                        in nilradical_constants(rs, self.roots).items()}
         self._check_restricted()
         self._gen_cache: dict = {}
         self._mono_cache: dict = {}
@@ -231,15 +222,6 @@ class MinimalResolution:
         p = alg.p
         prev_weights = self.stages[-1].gen_weights
         blocks = self._elem_weight_blocks(prev_weights)
-        pos_of = {wt: {b: i for i, b in enumerate(items)}
-                  for wt, items in blocks.items()}
-
-        def coords(elem, wt):
-            table = pos_of[wt]
-            v = [0] * len(table)
-            for key, c in elem.items():
-                v[table[key]] = c % p
-            return v
 
         def weight_of_elem(elem):
             (s, mono), _ = next(iter(elem.items()))
@@ -265,26 +247,23 @@ class MinimalResolution:
                 if moved:
                     aug_by_wt.setdefault(gwt, []).append(moved)
 
+        # Columns: the A_+ K span, then the kernel elements.  A kernel
+        # element is a new generator exactly when its column is a pivot,
+        # i.e. it is independent of the span and of the kernel before it.
         gen_weights, diff = [], []
         for wt in sorted(ker_by_wt):
-            span_rows = [coords(e, wt) for e in aug_by_wt.get(wt, [])]
-            rref, pivots = rref_mod_p(span_rows, p) if span_rows else ([], [])
-            pivot_set = list(pivots)
-            rows = list(rref)
-            for elem in ker_by_wt[wt]:
-                v = coords(elem, wt)
-                # reduce v against the current row space
-                for r, pc in zip(rows, pivot_set):
-                    if v[pc]:
-                        f = v[pc]
-                        v = [(x - f * y) % p for x, y in zip(v, r)]
-                if any(v):
-                    lead = next(i for i, x in enumerate(v) if x)
-                    inv = pow(v[lead], p - 2, p)
-                    rows.append([(x * inv) % p for x in v])
-                    pivot_set.append(lead)
+            kers = ker_by_wt[wt]
+            cols = aug_by_wt.get(wt, []) + kers
+            first = len(cols) - len(kers)
+            table = {b: i for i, b in enumerate(blocks[wt])}
+            matrix = [[0] * len(cols) for _ in table]
+            for c, elem in enumerate(cols):
+                for key, val in elem.items():
+                    matrix[table[key]][c] = val
+            for c in rref_mod_p(matrix, p)[1]:
+                if c >= first:
                     gen_weights.append(wt)
-                    diff.append(elem)
+                    diff.append(kers[c - first])
         return gen_weights, diff
 
     def _kernel(self, degree: int) -> list:

@@ -58,10 +58,6 @@ class CycScalar:
     def __neg__(self):
         return CycScalar(-self.sign, self.exponent, self.ell)
 
-    def specialize_classical(self) -> int:
-        """Value at zeta -> 1 (legitimate comparison only when exponent==0)."""
-        return self.sign
-
     def __repr__(self):
         if self.sign == 0:
             return "0"
@@ -281,9 +277,6 @@ class CohomologyRing:
         cls = BasisClass(tuple(s_part), w_part)
         return RingElement({cls: CycScalar.one(self.ell)}, self.ell)
 
-    def exterior_basis(self):
-        return list(self.reps)
-
     def multiply_classes(self, c1: BasisClass, c2: BasisClass) -> RingElement:
         cached = getattr(self, "_mc_cache", None)
         if cached is None:
@@ -364,7 +357,7 @@ def check_ring_laws(ring: CohomologyRing) -> dict:
     odd classes, and identity, checked exhaustively on the exterior basis.
 
     Returns a dict of law name -> bool."""
-    reps = ring.exterior_basis()
+    reps = ring.reps
     zero_s = (0,) * len(ring.nil_roots)
 
     def cls(w):
@@ -432,7 +425,7 @@ def defining_relations_hold(rs: RootSystem, ell: int) -> bool:
 
 def straightening_confluent(rs: RootSystem, ell: int, max_len: int = 3) -> bool:
     """All parenthesizations of short generator words straighten alike."""
-    from itertools import permutations, product
+    from itertools import product
     n = len(rs.positive_roots)
     idx = range(n)
     for word in product(idx, repeat=min(max_len, 3)):

@@ -12,10 +12,10 @@ pins down every sign and zeta-exponent convention used elsewhere.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+
+from .linalg import echelon
 
 SUPPORTED_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -191,19 +191,10 @@ class RootSystem:
         inv = getattr(self, "_cartan_inv_cache", None)
         if inv is None:
             n = self.rank
-            aug = [[Fraction(self.cartan[i][j]) for j in range(n)] +
-                   [Fraction(1 if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-            for col in range(n):
-                piv = next(r for r in range(col, n) if aug[r][col] != 0)
-                aug[col], aug[piv] = aug[piv], aug[col]
-                pv = aug[col][col]
-                aug[col] = [x / pv for x in aug[col]]
-                for r in range(n):
-                    if r != col and aug[r][col] != 0:
-                        f = aug[r][col]
-                        aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-            inv = tuple(tuple(aug[i][n:]) for i in range(n))
+            aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+                   for i, row in enumerate(self.cartan)]
+            rows, _ = echelon(aug)  # [C | I] -> [I | C^-1]
+            inv = tuple(tuple(row[n:]) for row in rows)
             self._cartan_inv_cache = inv
         return inv
 
@@ -288,27 +279,6 @@ class RootSystem:
                 assert not self.in_root_lattice(w)
                 out.append(w)
         return out
-
-    def index_of_connection(self) -> int:
-        n = self.rank
-        m = [list(r) for r in self.cartan]
-        # integer determinant by fraction-free Gaussian elimination
-        det = Fraction(1)
-        mm = [[Fraction(x) for x in row] for row in m]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if mm[r][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                mm[col], mm[piv] = mm[piv], mm[col]
-                det = -det
-            det *= mm[col][col]
-            pv = mm[col][col]
-            for r in range(col + 1, n):
-                f = mm[r][col] / pv
-                mm[r] = [x - f * y for x, y in zip(mm[r], mm[col])]
-        assert det.denominator == 1
-        return abs(int(det))
 
     def phi_j_plus(self, J) -> tuple:
         """Positive roots supported on the simple-root subset J (index set)."""

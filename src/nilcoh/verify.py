@@ -13,15 +13,15 @@ import json
 import time
 from dataclasses import dataclass
 
-from .alcoves import PreconditionError, admissibility, in_alcove
+from . import __version__ as TOOL_VERSION
+from .alcoves import (PreconditionError, admissibility, in_alcove,
+                      require_prime)
 from .characters import levi_simple_character
 from .kostant import kostant_decomposition
 from .koszul import cochain_cup, oracle_cohomology
 from .ring import nil_product
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
-
-TOOL_VERSION = "1.0.0"
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ def _wrap(lemma: str, rs: RootSystem, modulus: int, domain: str,
     }
 
 
-def _in_root_lattice(sigma: tuple, rs: RootSystem) -> bool:
-    coords = rs.fund_to_root(sigma)
-    return all(c.denominator == 1 for c in coords)
-
-
 def _word(w):
     return [i + 1 for i in w.word]
 
@@ -81,7 +76,7 @@ def search_sum_dot(rs: RootSystem, group: WeylGroup, p: int):
                 diff = tuple(a - b for a, b in zip(lhs, d3))
                 if any(diff) and all(c % p == 0 for c in diff):
                     sigma = tuple(c // p for c in diff)
-                    if _in_root_lattice(sigma, rs):
+                    if rs.in_root_lattice(sigma):
                         # re-validate
                         assert tuple(a + b for a, b in zip(d1, d2)) == \
                             tuple(a + p * s for a, s in zip(d3, sigma))
@@ -110,7 +105,7 @@ def search_levi_weights(rs: RootSystem, group: WeylGroup, J, p: int):
                 diff = tuple(a - b for a, b in zip(lhs, m3))
                 if any(diff) and all(c % p == 0 for c in diff):
                     sigma = tuple(c // p for c in diff)
-                    if _in_root_lattice(sigma, rs):
+                    if rs.in_root_lattice(sigma):
                         violations.append(Violation(
                             (list(m1), list(m2), list(m3)), sigma, p))
     cert = _wrap("levi-weights", rs, p, "ZPhi", violations, t0)
@@ -141,7 +136,7 @@ def search_dot_collisions(rs: RootSystem, group: WeylGroup, lam: tuple,
             diff = tuple(a - b for a, b in zip(d1, d2))
             if any(diff) and all(c % modulus == 0 for c in diff):
                 sigma = tuple(c // modulus for c in diff)
-                if sigma_domain == "X" or _in_root_lattice(sigma, rs):
+                if sigma_domain == "X" or rs.in_root_lattice(sigma):
                     violations.append(Violation(
                         (_word(w1), _word(w2)), sigma, modulus))
     cert = _wrap("dot-collisions", rs, modulus, sigma_domain, violations, t0)
@@ -170,6 +165,7 @@ def _box(rank, p):
 
 def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:
     """Cross-module checks at one (type, modulus); pass/fail with diffs."""
+    require_prime(p, "the consistency suite")
     t0 = time.time()
     report = {"type": rs.label, "modulus": p, "checks": [], "pass": True}
 

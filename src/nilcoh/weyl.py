@@ -110,10 +110,11 @@ class WeylGroup:
         return self.by_matrix[_mat_mul(w1.matrix, w2.matrix)]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        # the action matrix is orthogonal for the exact form; invert via lookup
-        target = _identity(self.rs.rank)
-        inv = _mat_inv_int(w.matrix)
-        return self.by_matrix[inv]
+        # (s_i1 ... s_ik)^-1 = s_ik ... s_i1: each s_i is an involution
+        m = self.identity.matrix
+        for i in reversed(w.word):
+            m = _mat_mul(m, self.simple[i].matrix)
+        return self.by_matrix[m]
 
     def inversion_set(self, w: WeylElement) -> tuple:
         """Phi(w) = w Phi^- cap Phi^+, as roots in canonical convex order."""
@@ -153,29 +154,6 @@ class WeylGroup:
 
 def _identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_inv_int(m: tuple) -> tuple:
-    """Inverse of an integer matrix with determinant +-1."""
-    from fractions import Fraction
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(x.denominator == 1 for x in row)
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
 
 
 def _cache_dir() -> Path:
@@ -252,6 +230,3 @@ def _store_cache(rs: RootSystem, group: WeylGroup) -> None:
     except OSError:
         pass  # cache is best-effort
 
-
-def dot(w: WeylElement, mu: tuple, rs: RootSystem) -> tuple:
-    return w.dot(mu, rs)

@@ -116,6 +116,21 @@ def test_json_round_trip_determinism(capsys):
     assert a == b
 
 
+def test_exit_code_2_on_composite_modulus(capsys):
+    for argv in (("oracle-koszul", "--type", "B2", "--p", "4"),
+                 ("ext", "--type", "A1", "--p", "4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "needs a prime p, got 4" in err
+
+
+def test_exit_code_2_on_check_square_rank_1(capsys):
+    code, out, err = run_cli(capsys, "ext", "--type", "A1", "--p", "5",
+                             "--check-square")
+    assert code == 2 and out == ""
+    assert "--check-square needs rank >= 2" in err
+
+
 def test_verify_suite(capsys):
     data = run_json(capsys, "verify", "suite", "--type", "A2", "--p", "5")
     assert data["pass"] is True

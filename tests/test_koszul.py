@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from nilcoh.alcoves import PreconditionError
 from nilcoh.koszul import (CEComplex, OracleBudgetError, chevalley_constants,
                            cochain_cup, oracle_cohomology)
 from nilcoh.kostant import kostant_decomposition
@@ -61,6 +62,20 @@ def test_oracle_matches_kostant_fp_and_q():
                 kd = kostant_decomposition((0,) * rs.rank, J, rs, g).character()
                 assert oracle_cohomology(J, rs, "Fp", p) == kd
                 assert oracle_cohomology(J, rs, "Q") == kd
+
+
+def test_fp_entry_points_reject_composite_p():
+    rs = build("A2")
+    g = enumerate_group(rs)
+    with pytest.raises(PreconditionError):
+        oracle_cohomology((), rs, "Fp", 6)
+    with pytest.raises(PreconditionError):
+        cochain_cup(g.simple[0], g.simple[1], g, rs, field="Fp", p=9)
+    for w1 in g.elements:
+        for w2 in g.elements:
+            over_q = cochain_cup(w1, w2, g, rs, field="Q")
+            over_fp = cochain_cup(w1, w2, g, rs, field="Fp", p=7)
+            assert over_fp == {w: int(c) % 7 for w, c in over_q.items()}
 
 
 def test_oracle_euler_characteristic():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nilcoh.alcoves import PreconditionError
 from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.restricted import (BudgetError, build_algebra, ext_dims,
                                find_class_by_weight, square_certificate,
@@ -19,6 +20,11 @@ def test_algebra_dimensions():
 def test_budget_rejected():
     with pytest.raises(BudgetError):
         build_algebra((), 7, build("G2"))  # 7^6 > 5^6
+
+
+def test_composite_p_rejected():
+    with pytest.raises(PreconditionError, match="prime"):
+        build_algebra((), 4, build("A1"))
 
 
 def test_multiplication_associative_spot_check():

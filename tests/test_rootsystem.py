@@ -71,6 +71,20 @@ def test_fund_root_roundtrip():
         assert tuple(Fraction(c) for c in g) == tuple(back)
 
 
+def test_cartan_inverse_every_supported_type():
+    labels = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+              + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    for label in labels:
+        rs = build(label)
+        n = rs.rank
+        inv = rs._cartan_inverse
+        for i in range(n):
+            for j in range(n):
+                entry = sum(inv[i][k] * rs.cartan[k][j] for k in range(n))
+                assert entry == (1 if i == j else 0), label
+
+
 def test_nilradical_and_levi_split():
     rs = build("B2")
     assert set(rs.phi_j_plus({0})) | set(rs.nilradical_roots({0})) == \

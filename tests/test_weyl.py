@@ -76,10 +76,11 @@ def test_dot_action_examples():
 
 
 def test_inverse_and_multiply_consistency():
-    rs = build("G2")
-    g = enumerate_group(rs)
-    for w in g.elements:
-        assert g.multiply(w, g.inverse(w)) == g.identity
+    for label in ("G2", "A3", "B3", "D4", "F4"):
+        g = enumerate_group(build(label))
+        for w in g.elements:
+            assert g.multiply(w, g.inverse(w)) == g.identity
+            assert g.multiply(g.inverse(w), w) == g.identity
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
