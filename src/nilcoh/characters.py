@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import mul
 
 from .rootsystem import RootSystem, build
 
@@ -180,19 +181,22 @@ def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
     if not J:
         return FormalCharacter.single(mu)
     phi_j = rs.phi_j_plus(J)
-    rho_j = _rho_j(rs, J)
+    rho_j2 = tuple(map(sum, zip(*map(rs.root_to_fund, phi_j))))  # 2 rho_J
 
-    # work with doubled coordinates to stay integral
+    # doubled coordinates and the scaled form keep every norm integral
     def norm2_shifted(nu):
-        v = tuple(2 * a + 2 * b for a, b in zip(nu, rho_j))  # 2(nu + rho_J)
-        v = tuple(Fraction(x) for x in v)
-        assert all(x.denominator == 1 for x in v)
-        vi = tuple(int(x) for x in v)
-        return rs.inner(vi, vi)  # = 4 |nu + rho_J|^2
+        v = tuple(2 * a + b for a, b in zip(nu, rho_j2))  # 2(nu + rho_J)
+        return rs.inner_scaled(v, v)  # = D * 4 |nu + rho_J|^2
 
     top = norm2_shifted(mu)
+    scale = 8 * rs.inner_denominator
+    # (nu, gamma) = sum_j d_j nu_j gamma_j with gamma in root coordinates
+    d_gamma = [tuple(d * c for d, c in zip(rs.d, gamma)) for gamma in phi_j]
+    gamma_fund = [rs.root_to_fund(gamma) for gamma in phi_j]
     simple_j_fund = {i: rs.simple_root_fund(i) for i in J}
     dominant_mults: dict[tuple, int] = {}
+    # root coordinates of mu - nu, a nonnegative combination of J simples
+    depth = {mu: (0,) * rs.rank}
 
     def mult_of(nu):
         rep = _dominant_rep_ordinary(nu, J, rs)
@@ -200,42 +204,44 @@ def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
 
     # BFS levels over mu - N.Phi_J, pruned by the norm inequality
     level = {mu}
-    seen = {mu}
     dominant_mults[mu] = 1
     while level:
         children = set()
         for nu in level:
             for i in J:
                 child = tuple(a - b for a, b in zip(nu, simple_j_fund[i]))
-                if child in seen:
+                if child in depth:
                     continue
                 if norm2_shifted(child) > top:
                     continue
-                seen.add(child)
+                dep = list(depth[nu])
+                dep[i] += 1
+                depth[child] = tuple(dep)
                 children.add(child)
         # compute multiplicities for the J-dominant children of this level
         for nu in sorted(children):
             if any(nu[i] < 0 for i in J):
                 continue
-            denom = top - norm2_shifted(nu)  # 4(|mu+rho|^2 - |nu+rho|^2)
+            denom = top - norm2_shifted(nu)  # 4D(|mu+rho|^2 - |nu+rho|^2)
             if denom == 0:
                 continue
-            s = Fraction(0)
-            for gamma in phi_j:
-                gf = rs.root_to_fund(gamma)
+            dep = depth[nu]
+            s = 0
+            for gamma, dg, gf in zip(phi_j, d_gamma, gamma_fund):
                 k = 1
                 while True:
                     up = tuple(a + k * b for a, b in zip(nu, gf))
                     m = mult_of(up)
-                    if m == 0 and not _below(mu, up, J, rs):
-                        break
+                    if m == 0 and any(x < k * c for x, c in zip(dep, gamma)):
+                        break  # mu - up is not in N.Phi_J
                     if m:
-                        s += m * rs.inner(up, gf)
+                        s += m * sum(map(mul, up, dg))
                     k += 1
-            val = 8 * s / denom  # 2 * s / (|mu+rho|^2-|nu+rho|^2), norms were x4
-            assert val.denominator == 1
+            # 2 s / (|mu+rho|^2 - |nu+rho|^2), norms were scaled by 4D
+            val, rem = divmod(scale * s, denom)
+            assert rem == 0
             if val:
-                dominant_mults[nu] = int(val)
+                dominant_mults[nu] = val
         level = children
 
     out = {}
@@ -258,14 +264,6 @@ def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
         for nu in orbit:
             out[nu] = m
     return FormalCharacter(out)
-
-
-def _below(mu, nu, J, rs) -> bool:
-    """mu - nu in N.Phi_J (nonnegative integer combination of J simples)."""
-    diff = tuple(a - b for a, b in zip(mu, nu))
-    coords = rs.fund_to_root(diff)
-    return all(c.denominator == 1 and c >= 0 for c in coords) and \
-        all(c == 0 for i, c in enumerate(coords) if i not in J)
 
 
 def weyl_dimension_levi(mu: tuple, J, rs: RootSystem):

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from .alcoves import (PreconditionError, admissibility, in_alcove,
@@ -22,23 +23,41 @@ from .koszul import OracleBudgetError, oracle_cohomology
 from .restricted import (BudgetError, build_algebra, certificate, ext_dims,
                          square_certificate)
 from .ring import CohomologyRing, check_ring_laws, square_free_basis
-from .rootsystem import build
+from .rootsystem import UnsupportedTypeError, build
 from .verify import (consistency_suite, search_dot_collisions,
                      search_levi_weights, search_sum_dot)
-from .weyl import enumerate_group
+from .weyl import GroupTooLargeError, enumerate_group
 
 FORMATS = ("json", "csv", "tex", "text")
+
+
+def _parse_type(text: str):
+    if not re.fullmatch(r"[A-Za-z][0-9]+", text):
+        raise PreconditionError(
+            f"--type needs a Cartan letter and a rank, e.g. B2; got {text!r}")
+    try:
+        return build(text)
+    except UnsupportedTypeError as exc:
+        raise PreconditionError(str(exc)) from None
+
+
+def _parse_ints(text: str, flag: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise PreconditionError(
+            f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _parse_J(text: str) -> tuple:
     text = (text or "").strip()
     if not text:
         return ()
-    return tuple(sorted({int(tok) for tok in text.split(",")}))
+    return tuple(sorted(set(_parse_ints(text, "--J"))))
 
 
 def _parse_lambda(text: str, rank: int) -> tuple:
-    coords = tuple(int(tok) for tok in text.split(","))
+    coords = tuple(_parse_ints(text, "--lambda"))
     if len(coords) != rank:
         raise PreconditionError(
             f"lambda needs {rank} fundamental coordinates, got {len(coords)}")
@@ -183,7 +202,7 @@ def build_parser():
 
 
 def _run(args) -> dict:
-    rs = build(args.type)
+    rs = _parse_type(args.type)
     cmd = args.command
 
     if cmd == "rootsys":
@@ -326,7 +345,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = _run(args)
-    except (PreconditionError, OracleBudgetError, BudgetError) as exc:
+    except (PreconditionError, OracleBudgetError, BudgetError,
+            GroupTooLargeError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -314,6 +314,13 @@ def inversion_cocycle(w, group, ce: CEComplex):
     return subset
 
 
+@lru_cache(maxsize=None)
+def _full_complex(label: str) -> CEComplex:
+    """The complex of the whole nilradical u (J empty), built and d^2-checked
+    once per root system."""
+    return CEComplex((), build(label))
+
+
 def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
                 p: int | None = None):
     """Cup product [f_{Phi(w1)}] . [f_{Phi(w2)}] expressed in the basis of
@@ -324,7 +331,7 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
     """
     if field == "Fp":
         require_prime(p, "the F_p cup product")
-    ce = CEComplex((), rs)
+    ce = _full_complex(rs.label)
     s1 = inversion_cocycle(w1, group, ce)
     s2 = inversion_cocycle(w2, group, ce)
     if set(s1) & set(s2):

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .alcoves import PreconditionError, require_admissible
 from .rootsystem import RootSystem
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, mask_bits
 
 
 # ----------------------------------------------------------------------
@@ -88,21 +88,23 @@ def merge_sign(left: tuple, right: tuple) -> int:
 def nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
                 group: WeylGroup, J=()):
     """(sign, w) with e_{w1} e_{w2} = sign * e_w, or None for zero."""
-    inv1 = group.inversion_set(w1)
-    inv2 = group.inversion_set(w2)
-    if set(inv1) & set(inv2):
+    m1 = group.inversion_mask(w1)
+    m2 = group.inversion_mask(w2)
+    if m1 & m2:
         return None
-    union = frozenset(inv1) | frozenset(inv2)
-    w = group.element_with_inversion_set(union)
+    w = group.element_with_mask(m1 | m2)
     if w is None:
         return None
-    order = {g: k for k, g in enumerate(rs.positive_roots)}
-    left = tuple(order[g] for g in inv1)
-    right = tuple(order[g] for g in inv2)
-    sgn = merge_sign(left, right)
-    if sgn == 0:
-        return None
-    return sgn, w
+    return mask_merge_sign(m1, m2), w
+
+
+def mask_merge_sign(m1: int, m2: int) -> int:
+    """merge_sign of the set bits of two disjoint masks: each bit b of m2
+    passes the bits of m1 above it."""
+    swaps = 0
+    for b in mask_bits(m2):
+        swaps += (m1 >> b).bit_count()
+    return -1 if swaps % 2 else 1
 
 
 # ----------------------------------------------------------------------
@@ -141,17 +143,14 @@ def quantum_nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
                         group: WeylGroup, ell: int):
     """(CycScalar, w) for e_{w1} e_{w2} in the quantum exterior model, or
     None when the union of inversion sets is not an inversion set."""
-    inv1 = group.inversion_set(w1)
-    inv2 = group.inversion_set(w2)
-    if set(inv1) & set(inv2):
+    m1 = group.inversion_mask(w1)
+    m2 = group.inversion_mask(w2)
+    if m1 & m2:
         return None
-    union = frozenset(inv1) | frozenset(inv2)
-    w = group.element_with_inversion_set(union)
+    w = group.element_with_mask(m1 | m2)
     if w is None:
         return None
-    order = {g: k for k, g in enumerate(rs.positive_roots)}
-    word = tuple(order[g] for g in inv1) + tuple(order[g] for g in inv2)
-    scal, srt = quantum_straighten(word, rs, ell)
+    scal, srt = quantum_straighten(tuple(mask_bits(m1) + mask_bits(m2)), rs, ell)
     if scal.sign == 0:
         return None
     return scal, w
@@ -363,14 +362,15 @@ def check_ring_laws(ring: CohomologyRing) -> dict:
     def cls(w):
         return BasisClass(zero_s, w)
 
+    classes = [cls(w) for w in reps]
     ok_assoc = True
-    for a in reps:
-        for b in reps:
-            ab = ring.multiply_classes(cls(a), cls(b))
-            for c in reps:
-                left = _mult_elem(ring, ab, cls(c))
-                bc = ring.multiply_classes(cls(b), cls(c))
-                right = _mult_elem_rev(ring, cls(a), bc)
+    for ca in classes:
+        for cb in classes:
+            ab = ring.multiply_classes(ca, cb)
+            for cc in classes:
+                left = _mult_elem(ring, ab, cc)
+                bc = ring.multiply_classes(cb, cc)
+                right = _mult_elem_rev(ring, ca, bc)
                 if left != right:
                     ok_assoc = False
     ok_square = all(

@@ -1,8 +1,10 @@
 """Finite root systems with exact integral Cartan data.
 
 Weights are tuples of integers in fundamental-weight coordinates.
-Roots are tuples of integers in simple-root coordinates.  All conversions
-go through exact rationals; nothing here ever touches a float.
+Roots are tuples of integers in simple-root coordinates.  Nothing here
+ever touches a float.  Root <-> weight conversions of roots, coroot pairings
+and the scaled inner product are integer table lookups built once per root
+system; only `fund_to_root` of an arbitrary weight needs exact rationals.
 
 The positive roots carry a fixed "convex" enumeration gamma_1 < ... < gamma_N
 induced by a reduced expression of the longest Weyl element (chosen
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .linalg import echelon
 
@@ -110,8 +114,14 @@ class RootSystem:
         self.positive_roots = self._convex_order()
         self.pos_index = {b: i for i, b in enumerate(self.positive_roots)}
         self.num_positive = len(self.positive_roots)
+        # <mu, beta^vee> = sum_j mu_j c_j for the k-th positive root beta
+        self.coroot_coords = tuple(self._coroot(b) for b in self.positive_roots)
         self.highest_short_root = self._highest_short()
         self.coxeter_number = self.pairing(self.rho, self.highest_short_root) + 1
+        # fund coords -> root coords, for every root
+        self.root_of_fund = {self.root_to_fund(b): b for b in self._all_roots}
+        # (mu, nu) = inner_scaled(mu, nu) / inner_denominator
+        self.inner_denominator, self._gram_scaled = self._scaled_gram()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -171,6 +181,22 @@ class RootSystem:
         self.w0_word = word
         return tuple(order)
 
+    def _coroot(self, beta: tuple) -> tuple:
+        """Simple-coroot coordinates 2 d_j beta_j / (beta, beta) of beta^vee."""
+        len2 = self.root_length2(beta)
+        out = []
+        for j in range(self.rank):
+            q, r = divmod(2 * self.d[j] * beta[j], len2)
+            assert r == 0, "coroot coordinates must be integral"
+            out.append(q)
+        return tuple(out)
+
+    def _scaled_gram(self) -> tuple:
+        """(D, D * Gram) with D the least common denominator of the Gram matrix."""
+        g = self._gram
+        den = lcm(*(x.denominator for row in g for x in row))
+        return den, tuple(tuple(int(x * den) for x in row) for row in g)
+
     def _highest_short(self) -> tuple:
         short_len = min(self.root_length2(b) for b in self.positive_roots)
         short = [b for b in self.positive_roots if self.root_length2(b) == short_len]
@@ -227,12 +253,9 @@ class RootSystem:
 
     def pairing(self, mu: tuple, beta: tuple) -> int:
         """<mu, beta^vee> = 2 (mu, beta) / (beta, beta), an exact integer."""
-        # (mu, alpha_j) = d_j mu_j when mu is in fundamental coordinates
-        num = 2 * sum(mu[j] * beta[j] * self.d[j] for j in range(self.rank))
-        den = self.root_length2(beta)
-        q, r = divmod(num, den)
-        assert r == 0, "coroot pairing must be integral"
-        return q
+        k = self.pos_index.get(beta)
+        cor = self._coroot(beta) if k is None else self.coroot_coords[k]
+        return sum(map(mul, mu, cor))
 
     @property
     def _gram(self) -> tuple:
@@ -245,6 +268,16 @@ class RootSystem:
                       for j in range(self.rank))
             self._gram_cache = g
         return g
+
+    def inner_scaled(self, mu: tuple, nu: tuple) -> int:
+        """inner_denominator * (mu, nu), an exact integer."""
+        g = self._gram_scaled
+        tot = 0
+        for j in range(self.rank):
+            if mu[j]:
+                row = g[j]
+                tot += mu[j] * sum(map(mul, row, nu))
+        return tot
 
     def inner(self, mu: tuple, nu: tuple) -> Fraction:
         """W-invariant inner product of two weights (fundamental coords)."""

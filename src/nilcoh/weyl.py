@@ -1,17 +1,32 @@
 """Weyl group enumeration, dot actions, inversion sets, coset representatives.
 
 Elements are canonicalized by their action matrix on fundamental-weight
-coordinates (exact integer matrices).  Reduced words are recovered by greedy
-left descent, so equality and hashing never depend on word choice.
+coordinates (exact integer matrices), so equality and hashing never depend
+on word choice.  Each element keeps the reduced word along which breadth-
+first enumeration first reached it.
+
+All of the Weyl layer is integer arithmetic, read off the image w rho of
+the dominant weight rho (fundamental coordinates):
+
+- inversion set: Phi(w) = w Phi^- cap Phi^+ = {beta > 0 : <w rho, beta^vee> < 0};
+- minimal coset representatives: w in ^JW  <=>  (w rho)_i > 0 for all i in J
+  (equivalently w^{-1} alpha_i > 0).
+
+Inversion sets are kept as int bitmasks over the convex order of the
+positive roots, filled the first time an element's set is asked for.
 
 Enumerations are cached on disk, keyed by Cartan type; the cache directory is
 taken from the NILCOH_CACHE environment variable (default ./.nilcoh-cache).
+A cache file that fails validation (wrong order, repeated matrices, missing
+generators, a word that does not multiply out to its matrix or is not
+reduced) is ignored and the group is recomputed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from operator import mul
 from pathlib import Path
 
 from .rootsystem import RootSystem
@@ -56,10 +71,11 @@ class WeylElement:
         return tuple(a - r for a, r in zip(img, rs.rho))
 
     def act_root(self, beta: tuple, rs: RootSystem) -> tuple:
-        img = self.act(rs.root_to_fund(beta))
-        coords = rs.fund_to_root(img)
-        assert all(c.denominator == 1 for c in coords)
-        return tuple(int(c) for c in coords)
+        return rs.root_of_fund[self.act(rs.root_to_fund(beta))]
+
+    def act_rho(self) -> tuple:
+        """w rho in fundamental coordinates (rho = (1, ..., 1); not the dot action)."""
+        return tuple(map(sum, self.matrix))
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -73,17 +89,28 @@ class WeylElement:
         return "*".join(f"s{i + 1}" for i in self.word)
 
 
-def _simple_matrix(rs: RootSystem, i: int) -> tuple:
-    n = rs.rank
-    # (s_i mu)_k = mu_k - mu_i a_ki
-    return tuple(tuple((1 if k == j else 0) - (rs.cartan[k][i] if j == i else 0)
-                       for j in range(n)) for k in range(n))
-
-
 def _mat_mul(a: tuple, b: tuple) -> tuple:
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
                  for i in range(n))
+
+
+def _times_simple(m: tuple, i: int, rs: RootSystem) -> tuple:
+    """m * s_i.  (s_i mu)_k = mu_k - mu_i a_ki, so s_i differs from the
+    identity only in column i."""
+    col = [row[i] for row in rs.cartan]
+    return tuple(row[:i] + (row[i] - sum(map(mul, row, col)),) + row[i + 1:]
+                 for row in m)
+
+
+def mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class WeylGroup:
@@ -95,9 +122,11 @@ class WeylGroup:
         self.by_matrix = {w.matrix: w for w in elements}
         self.order = len(elements)
         self.identity = self.by_matrix[_identity(rs.rank)]
-        self.simple = [self.by_matrix[_simple_matrix(rs, i)] for i in range(rs.rank)]
+        self.simple = [self.by_matrix[_times_simple(self.identity.matrix, i, rs)]
+                       for i in range(rs.rank)]
         self.longest = max(elements, key=lambda w: w.length)
-        self._inv_index = None
+        self._masks: dict[WeylElement, int] = {}
+        self._by_mask: dict[int, WeylElement] | None = None
 
     def length_polynomial(self) -> list[int]:
         """Coefficient list of sum_w t^{l(w)}."""
@@ -113,40 +142,49 @@ class WeylGroup:
         # (s_i1 ... s_ik)^-1 = s_ik ... s_i1: each s_i is an involution
         m = self.identity.matrix
         for i in reversed(w.word):
-            m = _mat_mul(m, self.simple[i].matrix)
+            m = _times_simple(m, i, self.rs)
         return self.by_matrix[m]
 
+    def inversion_mask(self, w: WeylElement) -> int:
+        """Phi(w) as a bitmask: bit k set iff positive_roots[k] is in Phi(w)."""
+        mask = self._masks.get(w)
+        if mask is None:
+            wrho = w.act_rho()
+            mask = 0
+            for k, cor in enumerate(self.rs.coroot_coords):
+                if sum(map(mul, wrho, cor)) < 0:
+                    mask |= 1 << k
+            assert mask.bit_count() == w.length, f"word of {w!r} is not reduced"
+            self._masks[w] = mask
+        return mask
+
     def inversion_set(self, w: WeylElement) -> tuple:
-        """Phi(w) = w Phi^- cap Phi^+, as roots in canonical convex order."""
-        rs = self.rs
-        winv = self.inverse(w)
-        out = []
-        for beta in rs.positive_roots:
-            img = winv.act_root(beta, rs)
-            if all(c <= 0 for c in img):
-                out.append(beta)
-        return tuple(out)
+        """Phi(w) = {beta > 0 : <w rho, beta^vee> < 0}, in convex order."""
+        pos = self.rs.positive_roots
+        return tuple(pos[k] for k in mask_bits(self.inversion_mask(w)))
+
+    def element_with_mask(self, mask: int) -> WeylElement | None:
+        if self._by_mask is None:
+            self._by_mask = {self.inversion_mask(w): w for w in self.elements}
+        return self._by_mask.get(mask)
 
     def element_with_inversion_set(self, roots: frozenset) -> WeylElement | None:
-        if self._inv_index is None:
-            self._inv_index = {frozenset(self.inversion_set(w)): w
-                               for w in self.elements}
-        return self._inv_index.get(roots)
+        index = self.rs.pos_index
+        mask = 0
+        for beta in roots:
+            k = index.get(beta)
+            if k is None:
+                return None
+            mask |= 1 << k
+        return self.element_with_mask(mask)
 
     def min_coset_reps(self, J) -> list[WeylElement]:
-        """^JW: w with w^{-1}(Phi_J^+) in Phi^+, sorted by (length, word)."""
+        """^JW: w with (w rho)_i > 0 for i in J, sorted by (length, word)."""
         J = sorted(set(J))
         reps = []
         for w in self.elements:
-            winv = self.inverse(w)
-            ok = True
-            for i in J:
-                alpha = tuple(1 if j == i else 0 for j in range(self.rs.rank))
-                img = winv.act_root(alpha, self.rs)
-                if not all(c >= 0 for c in img):
-                    ok = False
-                    break
-            if ok:
+            wrho = w.act_rho()
+            if all(wrho[i] > 0 for i in J):
                 reps.append(w)
         reps.sort(key=lambda w: (w.length, w.word))
         return reps
@@ -181,7 +219,6 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ORDER_BOUND,
     if use_cache:
         group = _load_cache(rs)
     if group is None:
-        gens = [_simple_matrix(rs, i) for i in range(rs.rank)]
         ident = _identity(rs.rank)
         elements = {ident: ()}
         frontier = [ident]
@@ -189,8 +226,8 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ORDER_BOUND,
             nxt = []
             for m in frontier:
                 word = elements[m]
-                for i, g in enumerate(gens):
-                    m2 = _mat_mul(m, g)
+                for i in range(rs.rank):
+                    m2 = _times_simple(m, i, rs)
                     if m2 not in elements:
                         elements[m2] = word + (i,)
                         nxt.append(m2)
@@ -208,15 +245,56 @@ def _load_cache(rs: RootSystem) -> WeylGroup | None:
     if not path.exists():
         return None
     try:
-        data = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
+        data = json.loads(path.read_text(), parse_float=_reject_float)
+        if data.get("label") != rs.label or \
+                data.get("cartan") != [list(r) for r in rs.cartan]:
+            return None
+        elements = [WeylElement(tuple(map(tuple, entry["matrix"])),
+                                tuple(entry["word"]))
+                    for entry in data["elements"]]
+        if not _valid_elements(rs, elements):
+            return None
+    except (ValueError, OSError, KeyError, TypeError, AttributeError,
+            IndexError):
         return None
-    if data.get("label") != rs.label or data.get("cartan") != [list(r) for r in rs.cartan]:
-        return None
-    elements = [WeylElement(tuple(tuple(r) for r in entry["matrix"]),
-                            tuple(entry["word"]))
-                for entry in data["elements"]]
     return WeylGroup(rs, elements)
+
+
+def _reject_float(text: str):
+    raise ValueError(f"non-integer entry {text} in Weyl cache")
+
+
+def _valid_elements(rs: RootSystem, elements: list[WeylElement]) -> bool:
+    """The cached elements are exactly W, each with a reduced word.
+
+    Checks the order, distinct matrices, and that each word's prefix is a
+    cached element whose matrix times s_last is this element's matrix (so
+    by induction every word multiplies out to its matrix, identity and
+    generators included) and whose (rho, w rho) is larger (so each step
+    lengthens the element and every word is reduced).  O(|W| rank^2)."""
+    if len(elements) != _WEYL_ORDERS[rs.letter](rs.rank):
+        return False
+    by_word = {w.word: w for w in elements}
+    if len(by_word) != len(elements) or \
+            len({w.matrix for w in elements}) != len(elements):
+        return False
+    # D (rho, w rho) = sum_i D (rho, omega_i) (w rho)_i
+    rho_row = [rs.inner_scaled(rs.rho, rs.fundamental_weight(i))
+               for i in range(rs.rank)]
+    height = {w.word: sum(map(mul, rho_row, w.act_rho())) for w in elements}
+    if by_word.get(()) is None or by_word[()].matrix != _identity(rs.rank):
+        return False
+    for w in elements:
+        if not w.word:
+            continue
+        parent = by_word.get(w.word[:-1])
+        i = w.word[-1]
+        if parent is None or not 0 <= i < rs.rank:
+            return False
+        if _times_simple(parent.matrix, i, rs) != w.matrix or \
+                height[parent.word] <= height[w.word]:
+            return False
+    return True
 
 
 def _store_cache(rs: RootSystem, group: WeylGroup) -> None:
@@ -226,7 +304,10 @@ def _store_cache(rs: RootSystem, group: WeylGroup) -> None:
         payload = {"label": rs.label, "cartan": [list(r) for r in rs.cartan],
                    "elements": [{"matrix": [list(r) for r in w.matrix],
                                  "word": list(w.word)} for w in group.elements]}
-        path.write_text(json.dumps(payload))
+        # write a sibling temp file and rename it, so a reader never sees
+        # a half-written cache
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, path)
     except OSError:
         pass  # cache is best-effort
-

@@ -134,3 +134,50 @@ def test_exit_code_2_on_check_square_rank_1(capsys):
 def test_verify_suite(capsys):
     data = run_json(capsys, "verify", "suite", "--type", "A2", "--p", "5")
     assert data["pass"] is True
+
+
+def _assert_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "internal error" not in err
+
+
+def test_exit_code_2_on_type_without_rank(capsys):
+    _assert_input_error(capsys, ("kostant", "--type", "B", "--p", "5"),
+                        "--type needs a Cartan letter and a rank")
+
+
+def test_exit_code_2_on_unknown_type(capsys):
+    _assert_input_error(capsys, ("kostant", "--type", "Z9", "--p", "5"),
+                        "unsupported Cartan type Z9")
+
+
+def test_exit_code_2_on_non_integer_lambda(capsys):
+    _assert_input_error(capsys, ("kostant", "--type", "A2", "--p", "5",
+                                 "--lambda", "1,x"),
+                        "--lambda needs comma-separated integers")
+
+
+def test_exit_code_2_on_weyl_group_too_large(capsys):
+    _assert_input_error(capsys, ("weyl", "--type", "E8"),
+                        "|W(E8)| = 696729600 exceeds bound")
+
+
+def test_exit_code_2_on_kostant_group_too_large(capsys):
+    _assert_input_error(capsys, ("kostant", "--type", "E8", "--p", "31",
+                                 "--lambda", "0,0,0,0,0,0,0,0"),
+                        "|W(E8)| = 696729600 exceeds bound")
+
+
+def test_kostant_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch):
+    from nilcoh import weyl
+    monkeypatch.setenv("NILCOH_CACHE", str(tmp_path))
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    argv = ("kostant", "--type", "A2", "--p", "5", "--lambda", "0,0")
+    assert run_json(capsys, *argv)["dims"] == [1, 2, 2, 1]
+    path = tmp_path / "weyl-A2.json"
+    data = json.loads(path.read_text())
+    data["elements"] = [e for e in data["elements"] if len(e["word"]) != 3]
+    path.write_text(json.dumps(data))
+    weyl._GROUPS.clear()
+    assert run_json(capsys, *argv)["dims"] == [1, 2, 2, 1]

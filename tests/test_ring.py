@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcoh.alcoves import PreconditionError
 from nilcoh.ring import (BasisClass, CohomologyRing, CycScalar,
                          check_ring_laws, defining_relations_hold,
-                         merge_sign, nil_product, quantum_nil_product,
-                         quantum_straighten, square_free_basis,
-                         straightening_confluent)
+                         mask_merge_sign, merge_sign, nil_product,
+                         quantum_nil_product, quantum_straighten,
+                         square_free_basis, straightening_confluent)
 from nilcoh.rootsystem import build
-from nilcoh.weyl import enumerate_group
+from nilcoh.weyl import enumerate_group, mask_bits
 
 
 def _setup(label):
@@ -154,3 +156,11 @@ def test_table_rows_format():
         assert sign in (-1, 0, 1) and expo == 0
     meta = ring.metadata()
     assert meta["w0_word"] and meta["positive_root_order"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 24 - 1), st.integers(0, 2 ** 24 - 1))
+def test_mask_merge_sign_is_merge_sign(m1, m2):
+    m2 &= ~m1
+    assert mask_merge_sign(m1, m2) == merge_sign(tuple(mask_bits(m1)),
+                                                 tuple(mask_bits(m2)))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcoh.rootsystem import build, expected_num_positive
 
@@ -97,3 +99,33 @@ def test_bad_type_rejected():
         build("H3")
     with pytest.raises(ValueError):
         build("B1")
+
+
+ALL_SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_SMALL_TYPES), st.data())
+def test_scaled_inner_is_denominator_times_inner(label, data):
+    rs = build(label)
+    weight = st.lists(st.integers(-20, 20), min_size=rs.rank, max_size=rs.rank)
+    mu, nu = tuple(data.draw(weight)), tuple(data.draw(weight))
+    assert rs.inner_scaled(mu, nu) == rs.inner_denominator * rs.inner(mu, nu)
+
+
+def test_integer_root_tables():
+    for label in ALL_SMALL_TYPES:
+        rs = build(label)
+        negatives = [tuple(-c for c in b) for b in rs.positive_roots]
+        assert len(rs.root_of_fund) == 2 * rs.num_positive
+        for b in rs.positive_roots + tuple(negatives):
+            assert rs.root_of_fund[rs.root_to_fund(b)] == b
+        # <omega_i, beta^vee> = 2 (omega_i, beta) / (beta, beta), rationally
+        for b, cor in zip(rs.positive_roots, rs.coroot_coords):
+            bf = rs.root_to_fund(b)
+            for i in range(rs.rank):
+                mu = rs.fundamental_weight(i)
+                assert cor[i] == 2 * rs.inner(mu, bf) / rs.inner(bf, bf)
+                assert rs.pairing(mu, b) == cor[i]
+            minus = tuple(-c for c in b)
+            assert rs.pairing(rs.rho, minus) == -rs.pairing(rs.rho, b)

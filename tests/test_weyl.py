@@ -1,5 +1,9 @@
+import itertools
+import json
+
 import pytest
 
+from nilcoh import weyl
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -95,3 +99,140 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert len(g1.elements) == len(g2.elements)
     assert g1.length_polynomial() == g2.length_polynomial()
     weyl._GROUPS.clear()
+
+
+INTEGER_PATH_TYPES = ("A3", "B3", "C3", "D4", "G2", "F4")
+
+
+def _reflect(rs, beta, i):
+    """s_i beta = beta - <beta, alpha_i^vee> alpha_i, in root coordinates."""
+    out = list(beta)
+    out[i] -= sum(rs.cartan[i][j] * beta[j] for j in range(rs.rank))
+    return tuple(out)
+
+
+def test_inversion_set_matches_reduced_word():
+    # Phi(s_i1 ... s_ik) = {alpha_i1, s_i1 alpha_i2, s_i1 s_i2 alpha_i3, ...}
+    for label in INTEGER_PATH_TYPES:
+        rs = build(label)
+        g = enumerate_group(rs)
+        for w in g.elements:
+            along_word = set()
+            for k, i in enumerate(w.word):
+                beta = tuple(1 if j == i else 0 for j in range(rs.rank))
+                for prev in reversed(w.word[:k]):
+                    beta = _reflect(rs, beta, prev)
+                along_word.add(beta)
+            inv = g.inversion_set(w)
+            assert set(inv) == along_word and len(inv) == w.length
+            assert list(inv) == [b for b in rs.positive_roots if b in along_word]
+
+
+def test_min_coset_reps_match_definition():
+    # ^JW = {w : w^{-1} alpha_i > 0 for i in J}, with w^{-1} alpha_i taken
+    # to simple-root coordinates through the rational Cartan inverse
+    for label in INTEGER_PATH_TYPES:
+        rs = build(label)
+        g = enumerate_group(rs)
+        positive_on = {}
+        for w in g.elements:
+            winv = g.inverse(w)
+            positive_on[w] = {
+                i for i in range(rs.rank)
+                if all(c >= 0 for c in
+                       rs.fund_to_root(winv.act(rs.simple_root_fund(i))))}
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(range(rs.rank), k)
+                for k in range(rs.rank + 1)):
+            expect = sorted((w for w in g.elements
+                             if set(J) <= positive_on[w]),
+                            key=lambda w: (w.length, w.word))
+            assert g.min_coset_reps(J) == expect
+
+
+def test_act_root_permutes_the_roots():
+    rs = build("G2")
+    g = enumerate_group(rs)
+    for w in g.elements:
+        images = {w.act_root(b, rs) for b in rs.positive_roots}
+        assert len(images) == rs.num_positive
+        negatives = {tuple(-c for c in b) for b in rs.positive_roots}
+        assert len(images & negatives) == w.length
+    with pytest.raises(KeyError):
+        g.identity.act_root((2, 2), rs)  # not a root: a bug, not a skip
+
+
+def _cached_group(tmp_path, monkeypatch, label):
+    """Write the cache of `label` under tmp_path; return (path, payload)."""
+    monkeypatch.setenv("NILCOH_CACHE", str(tmp_path))
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    enumerate_group(build(label))
+    path = tmp_path / f"weyl-{label}.json"
+    return path, json.loads(path.read_text())
+
+
+def _reload(label):
+    weyl._GROUPS.clear()
+    return enumerate_group(build(label))
+
+
+def test_damaged_cache_deleted_element_is_recomputed(tmp_path, monkeypatch):
+    path, data = _cached_group(tmp_path, monkeypatch, "A2")
+    data["elements"] = [e for e in data["elements"] if len(e["word"]) != 3]
+    path.write_text(json.dumps(data))
+    assert weyl._load_cache(build("A2")) is None
+    g = _reload("A2")
+    assert g.length_polynomial() == [1, 2, 2, 1]
+    # the recomputed group replaced the damaged file
+    assert len(json.loads(path.read_text())["elements"]) == 6
+
+
+def test_damaged_cache_tampered_word_is_recomputed(tmp_path, monkeypatch):
+    path, data = _cached_group(tmp_path, monkeypatch, "B2")
+    for entry in data["elements"]:
+        if entry["word"] == [0, 1]:
+            entry["word"] = [1, 0]  # the other element of length 2
+    path.write_text(json.dumps(data))
+    assert weyl._load_cache(build("B2")) is None
+    g = _reload("B2")
+    for w in g.elements:
+        m = g.identity.matrix
+        for i in w.word:
+            m = g.multiply(g.by_matrix[m], g.simple[i]).matrix
+        assert m == w.matrix
+
+
+def test_damaged_cache_non_reduced_words_are_recomputed(tmp_path, monkeypatch):
+    # a Hamiltonian path e, s1, s1s2, s1s2s1, s1s2s1s2, s1s2s1s2s1 through
+    # W(A2): every word multiplies out to its matrix, but three are not
+    # reduced, so the lengths would be wrong
+    path, data = _cached_group(tmp_path, monkeypatch, "A2")
+    rs = build("A2")
+    g = enumerate_group(rs)
+    m = g.identity.matrix
+    words = [()]
+    entries = [{"matrix": [list(r) for r in m], "word": []}]
+    for k in range(5):
+        w = g.by_matrix[m]
+        m = g.multiply(w, g.simple[k % 2]).matrix
+        words.append(words[-1] + (k % 2,))
+        entries.append({"matrix": [list(r) for r in m],
+                        "word": list(words[-1])})
+    assert len({str(e["matrix"]) for e in entries}) == 6
+    data["elements"] = entries
+    path.write_text(json.dumps(data))
+    assert weyl._load_cache(rs) is None
+    assert _reload("A2").length_polynomial() == [1, 2, 2, 1]
+
+
+def test_damaged_cache_truncated_file_is_recomputed(tmp_path, monkeypatch):
+    path, _ = _cached_group(tmp_path, monkeypatch, "G2")
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    assert weyl._load_cache(build("G2")) is None
+    assert _reload("G2").length_polynomial() == [1, 2, 2, 2, 2, 2, 1]
+
+
+def test_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    _cached_group(tmp_path, monkeypatch, "B3")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["weyl-B3.json"]
