@@ -17,7 +17,9 @@ from itertools import combinations
 from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
 from .linalg import rank_frac, rank_mod_p, solve_frac, solve_mod_p
+from .ring import merge_sign
 from .rootsystem import RootSystem, build
+from .weyl import mask_bits
 
 MAX_ORACLE_ROOTS = 14
 
@@ -307,17 +309,11 @@ def oracle_cohomology(J, rs: RootSystem, field: str = "Q",
 # Cochain-level cup products
 
 
-def inversion_cocycle(w, group, ce: CEComplex):
-    """The basis cochain f_{Phi(w)} (indices of the inversion set of w)."""
-    inv = group.inversion_set(w)
-    subset = tuple(sorted(ce.index[g] for g in inv))
-    return subset
-
-
 @lru_cache(maxsize=None)
 def _full_complex(label: str) -> CEComplex:
     """The complex of the whole nilradical u (J empty), built and d^2-checked
-    once per root system."""
+    once per root system.  Its roots are the positive roots in convex order,
+    so f_{Phi(w)} is the cochain on the set bits of the inversion mask."""
     return CEComplex((), build(label))
 
 
@@ -332,19 +328,16 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
     if field == "Fp":
         require_prime(p, "the F_p cup product")
     ce = _full_complex(rs.label)
-    s1 = inversion_cocycle(w1, group, ce)
-    s2 = inversion_cocycle(w2, group, ce)
-    if set(s1) & set(s2):
-        return {}
+
+    def cochain(w):
+        return tuple(mask_bits(group.inversion_mask(w)))
+
+    s1, s2 = cochain(w1), cochain(w2)
     # wedge f_{s1} ^ f_{s2}: sign = parity of merge inversions
-    merged = list(s1) + list(s2)
-    sgn = 1
-    arr = list(merged)
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i] > arr[j]:
-                sgn = -sgn
-    subset = tuple(sorted(merged))
+    sgn = merge_sign(s1, s2)
+    if not sgn:
+        return {}
+    subset = tuple(sorted(s1 + s2))
     deg = len(subset)
     if deg == 0:
         return {group.identity: Fraction(1) if field == "Q" else 1}
@@ -355,7 +348,7 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
     cand_cochains = []
     cand_ws = []
     for w in candidates:
-        s = inversion_cocycle(w, group, ce)
+        s = cochain(w)
         if ce.weight_of(s) == wt:
             cand_cochains.append(s)
             cand_ws.append(w)

@@ -181,11 +181,11 @@ class MinimalResolution:
 
     def _elem_weight_blocks(self, gen_weights):
         """Basis of A^{gens} grouped by weight: {wt: [(s, mono), ...]}."""
-        alg = self.alg
+        weights = alg_monomials(self.alg)
         blocks: dict[tuple, list] = {}
         for s, gw in enumerate(gen_weights):
-            for mono in alg_monomials(alg):
-                wt = tuple(g + m for g, m in zip(gw, alg.weight(mono)))
+            for mono, mw in weights.items():
+                wt = tuple(g + m for g, m in zip(gw, mw))
                 blocks.setdefault(wt, []).append((s, mono))
         return blocks
 
@@ -222,11 +222,11 @@ class MinimalResolution:
         p = alg.p
         prev_weights = self.stages[-1].gen_weights
         blocks = self._elem_weight_blocks(prev_weights)
+        weights = alg_monomials(alg)
 
         def weight_of_elem(elem):
             (s, mono), _ = next(iter(elem.items()))
-            return tuple(g + m for g, m in
-                         zip(prev_weights[s], alg.weight(mono)))
+            return tuple(g + m for g, m in zip(prev_weights[s], weights[mono]))
 
         ker_by_wt: dict[tuple, list] = {}
         for elem in kernel:
@@ -332,13 +332,13 @@ class MinimalResolution:
         return True
 
 
-def alg_monomials(alg: RestrictedAlgebra):
-    """All PBW exponent tuples, in lexicographic order."""
+def alg_monomials(alg: RestrictedAlgebra) -> dict:
+    """{PBW exponent tuple: its T-weight}, in lexicographic order."""
     if getattr(alg, "_monomials", None) is None:
         out = [()]
         for _ in range(alg.n):
             out = [m + (a,) for m in out for a in range(alg.p)]
-        alg._monomials = out
+        alg._monomials = {m: alg.weight(m) for m in out}
     return alg._monomials
 
 
@@ -384,6 +384,7 @@ def yoneda_product(res: MinimalResolution, z1, z2):
         src = res.stages[d2 + k]
         tgt = res.stages[k]
         tgt_blocks = res._elem_weight_blocks(tgt.gen_weights)
+        cod_blocks = res._elem_weight_blocks(res.stages[k - 1].gen_weights)
         maps = []
         for s, swt in enumerate(src.gen_weights):
             # rhs = g_{k-1}(d_{d2+k}(e_s)), an element of F_{k-1}
@@ -405,8 +406,6 @@ def yoneda_product(res: MinimalResolution, z1, z2):
                     raise RuntimeError("chain-map lifting failed (empty block)")
                 maps.append({})
                 continue
-            prevgens = res.stages[k - 1].gen_weights
-            cod_blocks = res._elem_weight_blocks(prevgens)
             cod = cod_blocks.get(wt, [])
             cod_pos = {b: i for i, b in enumerate(cod)}
             matrix = [[0] * len(dom) for _ in cod]

@@ -8,14 +8,17 @@ taken in the fixed convex order) into convex order.
 
 Quantum model: scalars are signed powers of a primitive l-th root of
 unity; the exterior part is the zeta-twisted exterior algebra with
-relations x_i x_j = -zeta^{(gamma_i, gamma_j)} x_j x_i (i < j), x_i^2 = 0.
+relations x_i x_j = -zeta^{-(gamma_i, gamma_j)} x_j x_i (i < j), that is
+x_j x_i = -zeta^{(gamma_i, gamma_j)} x_i x_j, and x_i^2 = 0.
+
+Both models multiply exterior classes by one rule, `mask_scalar`; at
+l = 1 its scalar is the classical sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .alcoves import PreconditionError, require_admissible
 from .rootsystem import RootSystem
@@ -69,7 +72,8 @@ class CycScalar:
 
 def merge_sign(left: tuple, right: tuple) -> int:
     """Parity of the permutation sorting the concatenation of two sorted
-    index tuples; 0 if they intersect."""
+    index tuples; 0 if they intersect.  The reference for the sign of
+    mask_scalar, and the sign of koszul.cochain_cup."""
     if set(left) & set(right):
         return 0
     arr = list(left) + list(right)
@@ -82,12 +86,32 @@ def merge_sign(left: tuple, right: tuple) -> int:
 
 
 # ----------------------------------------------------------------------
-# Classical exterior part on ^JW
+# Exterior classes: one product rule for both models
 
 
-def nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
-                group: WeylGroup, J=()):
-    """(sign, w) with e_{w1} e_{w2} = sign * e_w, or None for zero."""
+def mask_scalar(m1: int, m2: int, rs: RootSystem, ell: int) -> CycScalar:
+    """Scalar c with x_{m1} x_{m2} = c * x_{m1 | m2} for disjoint masks, where
+    x_m is the product of the generators of the set bits of m, ascending.
+
+    Sorting passes each bit b of m2 over the bits a > b of m1, and each pass
+    is a factor -zeta^{(gamma_a, gamma_b)}.  The sign is the merge sign; the
+    exponent is only summed when ell > 1."""
+    pos = rs.positive_roots
+    swaps = expo = 0
+    for b in mask_bits(m2):
+        above = m1 >> b  # bit b is not in m1: these are the bits a > b
+        swaps += above.bit_count()
+        if ell > 1:
+            for a in mask_bits(above):
+                expo += rs.inner_roots(pos[a + b], pos[b])
+    return CycScalar(-1 if swaps % 2 else 1, expo, ell)
+
+
+def quantum_nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
+                        group: WeylGroup, ell: int):
+    """(CycScalar, w) with e_{w1} e_{w2} = scalar * e_w in the exterior
+    model (zeta-twisted when ell > 1), or None when Phi(w1) and Phi(w2)
+    meet or their union is not an inversion set."""
     m1 = group.inversion_mask(w1)
     m2 = group.inversion_mask(w2)
     if m1 & m2:
@@ -95,16 +119,15 @@ def nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
     w = group.element_with_mask(m1 | m2)
     if w is None:
         return None
-    return mask_merge_sign(m1, m2), w
+    return mask_scalar(m1, m2, rs, ell), w
 
 
-def mask_merge_sign(m1: int, m2: int) -> int:
-    """merge_sign of the set bits of two disjoint masks: each bit b of m2
-    passes the bits of m1 above it."""
-    swaps = 0
-    for b in mask_bits(m2):
-        swaps += (m1 >> b).bit_count()
-    return -1 if swaps % 2 else 1
+def nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
+                group: WeylGroup):
+    """(sign, w) with e_{w1} e_{w2} = sign * e_w, or None for zero: the
+    classical (ell = 1) view of quantum_nil_product."""
+    res = quantum_nil_product(w1, w2, rs, group, 1)
+    return None if res is None else (res[0].sign, res[1])
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +139,7 @@ def quantum_swap_factor(a: int, b: int, rs: RootSystem, ell: int) -> CycScalar:
     x_a x_b = -zeta^{(gamma_b, gamma_a)} x_b x_a."""
     gb = rs.positive_roots[b]
     ga = rs.positive_roots[a]
-    v = rs.inner_roots(gb, ga)
-    assert isinstance(v, int) or Fraction(v).denominator == 1
-    return CycScalar(-1, int(v), ell)
+    return CycScalar(-1, rs.inner_roots(gb, ga), ell)
 
 
 def quantum_straighten(word: tuple, rs: RootSystem, ell: int):
@@ -137,23 +158,6 @@ def quantum_straighten(word: tuple, rs: RootSystem, ell: int):
     if len(set(arr)) != len(arr):
         return CycScalar.zero(ell), tuple(arr)
     return scal, tuple(arr)
-
-
-def quantum_nil_product(w1: WeylElement, w2: WeylElement, rs: RootSystem,
-                        group: WeylGroup, ell: int):
-    """(CycScalar, w) for e_{w1} e_{w2} in the quantum exterior model, or
-    None when the union of inversion sets is not an inversion set."""
-    m1 = group.inversion_mask(w1)
-    m2 = group.inversion_mask(w2)
-    if m1 & m2:
-        return None
-    w = group.element_with_mask(m1 | m2)
-    if w is None:
-        return None
-    scal, srt = quantum_straighten(tuple(mask_bits(m1) + mask_bits(m2)), rs, ell)
-    if scal.sign == 0:
-        return None
-    return scal, w
 
 
 # ----------------------------------------------------------------------
@@ -289,19 +293,13 @@ class CohomologyRing:
         return out
 
     def _multiply_classes(self, c1: BasisClass, c2: BasisClass) -> RingElement:
-        s = tuple(a + b for a, b in zip(c1.s_part, c2.s_part))
-        if self.ell == 1:
-            res = nil_product(c1.w_part, c2.w_part, self.rs, self.group, self.J)
-            if res is None:
-                return RingElement({}, self.ell)
-            sgn, w = res
-            # polynomial part is central and even: no extra sign
-            return RingElement({BasisClass(s, w): CycScalar(sgn, 0, 1)}, 1)
         res = quantum_nil_product(c1.w_part, c2.w_part, self.rs, self.group,
                                   self.ell)
         if res is None:
             return RingElement({}, self.ell)
         scal, w = res
+        # polynomial part is central and even: no extra sign
+        s = tuple(a + b for a, b in zip(c1.s_part, c2.s_part))
         return RingElement({BasisClass(s, w): scal}, self.ell)
 
     def multiply(self, x: RingElement, y: RingElement) -> RingElement:
@@ -313,15 +311,15 @@ class CohomologyRing:
                     out = out + RingElement({cls: s1 * s2 * scal}, self.ell)
         return out
 
-    def exterior_table(self):
-        """All pairwise products of the exterior basis classes e_w."""
-        zero_s = (0,) * len(self.nil_roots)
-        table = {}
-        for w1 in self.reps:
-            for w2 in self.reps:
-                prod = self.multiply_classes(BasisClass(zero_s, w1),
-                                             BasisClass(zero_s, w2))
-                table[(w1, w2)] = prod
+    def exterior_table(self) -> dict:
+        """{(w1, w2): (CycScalar, w) or None} over ^JW x ^JW, with
+        e_{w1} e_{w2} = scalar * e_w.  Closed: w is again in ^JW."""
+        table = getattr(self, "_table", None)
+        if table is None:
+            table = self._table = {
+                (w1, w2): quantum_nil_product(w1, w2, self.rs, self.group,
+                                              self.ell)
+                for w1 in self.reps for w2 in self.reps}
         return table
 
     def table_rows(self):
@@ -331,11 +329,11 @@ class CohomologyRing:
 
         rows = []
         for (w1, w2), prod in self.exterior_table().items():
-            if prod.is_zero():
+            if prod is None:
                 tgt, sign, expo = "0", 0, 0
             else:
-                (cls, scal), = prod.terms.items()
-                tgt, sign, expo = name(cls.w_part), scal.sign, scal.exponent
+                scal, w = prod
+                tgt, sign, expo = name(w), scal.sign, scal.exponent
             rows.append((name(w1), name(w2), tgt, sign, expo))
         return rows
 
@@ -353,44 +351,33 @@ class CohomologyRing:
 
 def check_ring_laws(ring: CohomologyRing) -> dict:
     """Associativity, graded commutativity (up to the twist), squares of
-    odd classes, and identity, checked exhaustively on the exterior basis.
+    odd classes, and identity, checked exhaustively on the exterior basis
+    by lookups in ring.exterior_table().
 
     Returns a dict of law name -> bool."""
+    table = ring.exterior_table()
     reps = ring.reps
-    zero_s = (0,) * len(ring.nil_roots)
+    one = CycScalar.one(ring.ell)
 
-    def cls(w):
-        return BasisClass(zero_s, w)
+    def times(x, y):
+        """x * y for x, y each (scalar, w) or None (zero)."""
+        if x is None or y is None:
+            return None
+        prod = table[x[1], y[1]]
+        return None if prod is None else (x[0] * y[0] * prod[0], prod[1])
 
-    classes = [cls(w) for w in reps]
-    ok_assoc = True
-    for ca in classes:
-        for cb in classes:
-            ab = ring.multiply_classes(ca, cb)
-            for cc in classes:
-                left = _mult_elem(ring, ab, cc)
-                bc = ring.multiply_classes(cb, cc)
-                right = _mult_elem_rev(ring, ca, bc)
-                if left != right:
-                    ok_assoc = False
-    ok_square = all(
-        a.length == 0 or ring.multiply_classes(cls(a), cls(a)).is_zero()
-        for a in reps)
+    ok_assoc = all(times(ab, (one, c)) == times((one, a), table[b, c])
+                   for (a, b), ab in table.items() for c in reps)
+    ok_square = all(a.length == 0 or table[a, a] is None for a in reps)
     ident = ring.group.identity
-    ok_identity = all(
-        ring.multiply_classes(cls(ident), cls(a)) == ring.basis_class(zero_s, a)
-        and ring.multiply_classes(cls(a), cls(ident)) == ring.basis_class(zero_s, a)
-        for a in reps)
-    ok_comm = True
+    ok_identity = all(table[ident, a] == (one, a) == table[a, ident]
+                      for a in reps)
     if ring.ell == 1:
-        for a in reps:
-            for b in reps:
-                ab = ring.multiply_classes(cls(a), cls(b))
-                ba = ring.multiply_classes(cls(b), cls(a))
-                expect = _scale(ba, CycScalar(
-                    -1 if (a.length * b.length) % 2 else 1, 0, 1))
-                if ab != expect:
-                    ok_comm = False
+        # e_a e_b = (-1)^{l(a) l(b)} e_1 * (e_b e_a)
+        ok_comm = all(
+            table[a, b] == times((CycScalar(-1 if a.length * b.length % 2
+                                            else 1, 0, 1), ident), table[b, a])
+            for a in reps for b in reps)
     else:
         ok_comm = defining_relations_hold(ring.rs, ring.ell)
     return {"associative": ok_assoc, "odd_squares_zero": ok_square,
@@ -409,28 +396,17 @@ def defining_relations_hold(rs: RootSystem, ell: int) -> bool:
             # straighten x_j x_i and compare against the stated relation
             scal, srt = quantum_straighten((j, i), rs, ell)
             v = rs.inner_roots(rs.positive_roots[i], rs.positive_roots[j])
-            expect = CycScalar(-1, int(v), ell)
-            if srt != (i, j) or scal != expect:
-                return False
-            # forward form: x_i x_j + zeta^{-(gi,gj)} x_j x_i = 0
-            fwd, srt2 = quantum_straighten((i, j), rs, ell)
-            lhs = CycScalar(1, 0, ell)  # coefficient of x_i x_j in x_i x_j
-            if srt2 != (i, j) or not (lhs.sign + (CycScalar(1, -int(v), ell)
-                                                  * scal).sign == 0
-                                      and (CycScalar(1, -int(v), ell)
-                                           * scal).exponent == 0):
+            if srt != (i, j) or scal != CycScalar(-1, v, ell):
                 return False
     return True
 
 
-def straightening_confluent(rs: RootSystem, ell: int, max_len: int = 3) -> bool:
-    """All parenthesizations of short generator words straighten alike."""
-    from itertools import product
+def straightening_confluent(rs: RootSystem, ell: int) -> bool:
+    """All parenthesizations of generator words of length 3 straighten
+    alike."""
     n = len(rs.positive_roots)
-    idx = range(n)
-    for word in product(idx, repeat=min(max_len, 3)):
+    for a, b, c in product(range(n), repeat=3):
         # ((xy)z) vs (x(yz)): straighten stepwise both ways
-        a, b, c = word
         s1, m1 = quantum_straighten((a, b), rs, ell)
         s1b, m1b = quantum_straighten(m1 + (c,), rs, ell)
         left = (s1 * s1b, m1b) if s1.sign and s1b.sign else (CycScalar.zero(ell), ())
@@ -457,25 +433,3 @@ def square_free_basis(rs: RootSystem, ell: int):
             out.add(srt)
     assert len(out) == 2 ** n
     return sorted(out, key=lambda s: (len(s), s))
-
-
-def _scale(elem: RingElement, scal: CycScalar) -> RingElement:
-    return RingElement({cls: s * scal for cls, s in elem.terms.items()}, elem.ell)
-
-
-def _mult_elem(ring, elem: RingElement, c2: BasisClass) -> RingElement:
-    out = RingElement({}, ring.ell)
-    for cls, scal in elem.terms.items():
-        prod = ring.multiply_classes(cls, c2)
-        for cls2, scal2 in prod.terms.items():
-            out = out + RingElement({cls2: scal * scal2}, ring.ell)
-    return out
-
-
-def _mult_elem_rev(ring, c1: BasisClass, elem: RingElement) -> RingElement:
-    out = RingElement({}, ring.ell)
-    for cls, scal in elem.terms.items():
-        prod = ring.multiply_classes(c1, cls)
-        for cls2, scal2 in prod.terms.items():
-            out = out + RingElement({cls2: scal * scal2}, ring.ell)
-    return out

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from nilcoh.alcoves import PreconditionError
 from nilcoh.ring import (BasisClass, CohomologyRing, CycScalar,
                          check_ring_laws, defining_relations_hold,
-                         mask_merge_sign, merge_sign, nil_product,
+                         mask_scalar, merge_sign, nil_product,
                          quantum_nil_product, quantum_straighten,
                          square_free_basis, straightening_confluent)
 from nilcoh.rootsystem import build
@@ -162,5 +162,19 @@ def test_table_rows_format():
 @given(st.integers(0, 2 ** 24 - 1), st.integers(0, 2 ** 24 - 1))
 def test_mask_merge_sign_is_merge_sign(m1, m2):
     m2 &= ~m1
-    assert mask_merge_sign(m1, m2) == merge_sign(tuple(mask_bits(m1)),
-                                                 tuple(mask_bits(m2)))
+    rs = build("F4")  # 24 positive roots
+    assert mask_scalar(m1, m2, rs, 1).sign == merge_sign(tuple(mask_bits(m1)),
+                                                         tuple(mask_bits(m2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["B3", "G2"]), st.integers(3, 12), st.data())
+def test_mask_scalar_is_straightening_scalar(label, ell, data):
+    """Arbitrary disjoint masks, not only inversion sets: on the products
+    of inversion sets the zeta-exponent happens to be 0."""
+    rs = build(label)
+    full = 2 ** len(rs.positive_roots) - 1
+    m1 = data.draw(st.integers(0, full))
+    m2 = data.draw(st.integers(0, full)) & ~m1
+    word = tuple(mask_bits(m1) + mask_bits(m2))
+    assert mask_scalar(m1, m2, rs, ell) == quantum_straighten(word, rs, ell)[0]
