@@ -16,7 +16,7 @@ class PreconditionError(ValueError):
 
 
 def require_prime(p, what: str) -> None:
-    """F_p elimination inverts pivots as x^(p-2), which needs p prime."""
+    """F_p elimination divides by each pivot, which needs p prime."""
     if p is None or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise PreconditionError(f"{what} needs a prime p, got {p}")
 

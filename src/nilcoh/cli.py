@@ -312,6 +312,10 @@ def _run(args) -> dict:
             raise PreconditionError("ext needs --p")
         if args.check_square and rs.rank < 2:
             raise PreconditionError("--check-square needs rank >= 2")
+        if args.check_square and args.max_degree < 4:
+            raise PreconditionError(
+                "--check-square needs --max-degree >= 4 (the square of a"
+                " degree-2 class lies in degree 4)")
         alg = build_algebra(J, args.p, rs)
         gc, res = ext_dims(alg, args.max_degree)
         example = None

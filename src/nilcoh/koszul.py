@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
-from .linalg import rank_frac, rank_mod_p, solve_frac, solve_mod_p
+from .linalg import Span
 from .ring import merge_sign
 from .rootsystem import RootSystem, build
 from .weyl import mask_bits
@@ -183,14 +183,16 @@ class CEComplex:
                 f" at most {MAX_ORACLE_ROOTS}")
         self.index = {g: k for k, g in enumerate(self.roots)}
         self.N = nilradical_constants(rs, self.roots)
+        # T-weight of each dual generator f_k: minus its root
+        self._neg_fund = [tuple(-c for c in rs.root_to_fund(g))
+                          for g in self.roots]
         self._check_d_squared()
 
     def weight_of(self, subset) -> tuple:
         w = [0] * self.rs.rank
         for k in subset:
-            f = self.rs.root_to_fund(self.roots[k])
-            for t in range(self.rs.rank):
-                w[t] -= f[t]
+            for t, c in enumerate(self._neg_fund[k]):
+                w[t] += c
         return tuple(w)
 
     def basis(self, degree: int):
@@ -251,8 +253,8 @@ class CEComplex:
 
 def _blocks_by_weight(ce: CEComplex, degree: int):
     out: dict[tuple, list] = {}
-    for pos_idx, s in enumerate(ce.basis(degree)):
-        out.setdefault(ce.weight_of(s), []).append((pos_idx, s))
+    for s in ce.basis(degree):
+        out.setdefault(ce.weight_of(s), []).append(s)
     return out
 
 
@@ -274,21 +276,12 @@ def oracle_cohomology(J, rs: RootSystem, field: str = "Q",
     rank_at: dict[tuple, dict[int, int]] = {}
     dim_at: dict[tuple, dict[int, int]] = {}
     for deg in range(n + 1):
-        blocks = _blocks_by_weight(ce, deg)
-        for wt, items in blocks.items():
-            dim_at.setdefault(wt, {})[deg] = len(items)
-        # matrix of d restricted to each weight block
-        m, dom, cod = ce.d_matrix(deg)
-        cod_blocks = _blocks_by_weight(ce, deg + 1)
-        dom_blocks = blocks
-        for wt, dom_items in dom_blocks.items():
-            cod_items = cod_blocks.get(wt, [])
-            rows = [[m[r][c] for (c, _) in dom_items] for (r, _) in cod_items]
-            if field == "Q":
-                rk = rank_frac(rows)
-            else:
-                rk = rank_mod_p(rows, p)
-            rank_at.setdefault(wt, {})[deg] = rk
+        for wt, block in _blocks_by_weight(ce, deg).items():
+            dim_at.setdefault(wt, {})[deg] = len(block)
+            span = Span(None if field == "Q" else p)
+            for s in block:
+                span.add(ce.d_basis_element(s))
+            rank_at.setdefault(wt, {})[deg] = span.size
     for deg in range(n + 1):
         chi = {}
         for wt, dims in dim_at.items():
@@ -343,46 +336,22 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
         return {group.identity: Fraction(1) if field == "Q" else 1}
     wt = ce.weight_of(subset)
     # express sgn*f_subset in span{f_{Phi(w)} : l(w)=deg, weight match}
-    #                        + image of d on the weight block
-    candidates = [w for w in group.elements if w.length == deg]
-    cand_cochains = []
+    #                        + image of d on the weight block; the distinct
+    # candidate cochains are kept first, as vectors 0 .. len(cand_ws) - 1
+    span = Span(None if field == "Q" else p)
     cand_ws = []
-    for w in candidates:
-        s = cochain(w)
-        if ce.weight_of(s) == wt:
-            cand_cochains.append(s)
+    for w in group.elements:
+        if w.length == deg and ce.weight_of(s := cochain(w)) == wt:
+            span.add({s: 1})
             cand_ws.append(w)
-    dom_blocks = _blocks_by_weight(ce, deg - 1)
-    m, dom, cod = ce.d_matrix(deg - 1)
-    cod_basis = ce.basis(deg)
-    cod_index = {s: i for i, s in enumerate(cod_basis)}
-    wt_rows = [i for i, s in enumerate(cod_basis) if ce.weight_of(s) == wt]
-    row_pos = {r: k for k, r in enumerate(wt_rows)}
-    cols = []
-    for s in cand_cochains:
-        v = [0] * len(wt_rows)
-        v[row_pos[cod_index[s]]] = 1
-        cols.append(v)
-    for (c, s) in dom_blocks.get(wt, []):
-        v = [0] * len(wt_rows)
-        for r in wt_rows:
-            if m[r][c]:
-                v[row_pos[r]] = m[r][c]
-        cols.append(v)
-    rhs = [0] * len(wt_rows)
-    target = cod_index.get(subset)
-    assert target in row_pos
-    rhs[row_pos[target]] = sgn
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(wt_rows))]
-    if field == "Q":
-        sol = solve_frac(matrix, rhs)
-    else:
-        sol = solve_mod_p(matrix, [x % p for x in rhs], p)
+    for s in _blocks_by_weight(ce, deg - 1).get(wt, []):
+        span.add(ce.d_basis_element(s))
+    sol = span.express({subset: sgn})
     if sol is None:
         raise RuntimeError("cup product not expressible; complex inconsistent")
     out = {}
     for k, w in enumerate(cand_ws):
-        coeff = sol[k]
+        coeff = sol.get(k)
         if coeff:
             out[w] = int(coeff) if field != "Q" else coeff
     return out

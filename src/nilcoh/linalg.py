@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over F_p and over the rationals.
+"""Exact linear algebra over F_p and over the rationals.
 
-Matrices are lists of row lists.  Blocks coming out of the weight-graded
-complexes are small (tens of rows), so plain Gaussian elimination is fine;
-what matters is that every pivot decision is exact.  `echelon` is the one
-elimination routine; rank, nullspace and solve are views over it.
+`Span` is the one elimination routine: a greedy basis of sparse vectors
+{key: coeff}, grown one vector at a time in the manner of R. Bruner,
+"Calculation of large Ext modules" (1989).  The weight-graded complexes
+feed it the dict vectors of one weight block at a time.  The dense views
+below (matrices are lists of row lists) add a matrix's columns in order:
+the kept columns are the pivot columns of the reduced row echelon form, and
+a dependent column's combination is its column of that form.
 """
 
 from __future__ import annotations
@@ -11,61 +14,117 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class Span:
+    """Span of the vectors added so far, over F_p (p prime) or over Q
+    when p is None.
+
+    `add(vec)` keeps `vec` and returns None when it is independent of the
+    kept vectors; otherwise it returns the unique {i: c} with
+    vec = sum c * kept[i].  `express(vec)` returns the same combination
+    without keeping anything, or None when `vec` lies outside the span.
+
+    Each kept vector becomes a row whose lead key has coefficient 1 and
+    occurs in no other row, stored with the combination of kept vectors
+    it equals, so one pass over a vector's own keys reduces it.
+    """
+
+    def __init__(self, p: int | None = None):
+        self.p = p
+        self.size = 0
+        self._rows: dict = {}  # lead key -> (row, combination)
+
+    def _clean(self, vec: dict) -> dict:
+        """vec without zero entries, reduced mod p over F_p."""
+        p = self.p
+        if p is None:
+            return {k: x for k, x in vec.items() if x}
+        return {k: r for k, x in vec.items() if (r := x % p)}
+
+    def _axpy(self, vec: dict, f, other: dict) -> dict:
+        """vec + f * other, cleaned."""
+        out = dict(vec)
+        for k, x in other.items():
+            out[k] = out.get(k, 0) + f * x
+        return self._clean(out)
+
+    def _reduce(self, vec: dict):
+        """(vec minus its row combination, that combination)."""
+        res, comb, rows = dict(vec), {}, self._rows
+        for key, c in vec.items():
+            hit = rows.get(key)
+            if hit is not None and c:
+                for k, x in hit[0].items():
+                    res[k] = res.get(k, 0) - c * x
+                for i, x in hit[1].items():
+                    comb[i] = comb.get(i, 0) + c * x
+        return self._clean(res), self._clean(comb)
+
+    def add(self, vec: dict):
+        res, comb = self._reduce(vec)
+        if not res:
+            return comb
+        lead, c = next(iter(res.items()))
+        inv = Fraction(1) / c if self.p is None else pow(c, -1, self.p)
+        row = self._axpy({}, inv, res)
+        comb = self._axpy({self.size: inv}, -inv, comb)
+        for key, (other, other_comb) in self._rows.items():
+            f = other.get(lead)
+            if f:
+                self._rows[key] = (self._axpy(other, -f, row),
+                                   self._axpy(other_comb, -f, comb))
+        self._rows[lead] = (row, comb)
+        self.size += 1
+        return None
+
+    def express(self, vec: dict):
+        res, comb = self._reduce(vec)
+        return None if res else comb
+
+
+def _columns(rows, p):
+    """Add the columns of a dense matrix to one Span, left to right.
+
+    Returns (span, pivot columns, the columns of the reduced row echelon
+    form as {row: entry}: a unit vector for a pivot column, else the
+    combination of earlier pivot columns that `add` returned)."""
+    span, pivots, cols = Span(p), [], []
+    for c in range(len(rows[0]) if rows else 0):
+        col = span.add({r: row[c] for r, row in enumerate(rows)})
+        if col is None:
+            col = {len(pivots): Fraction(1) if p is None else 1}
+            pivots.append(c)
+        cols.append(col)
+    return span, pivots, cols
+
+
 def echelon(rows, p: int | None = None):
     """Reduced row echelon form over F_p (p prime), or over Q when p is None.
 
     Returns (nonzero reduced rows, pivot column list); entries are ints in
     [0, p) over F_p and Fractions over Q."""
-    if p is None:
-        m = [[Fraction(x) for x in row] for row in rows]
-    else:
-        m = [[x % p for x in row] for row in rows]
-    if not m or not m[0]:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        if p is None:
-            inv = 1 / m[rank][col]
-            top = m[rank] = [x * inv for x in m[rank]]
-        else:
-            inv = pow(m[rank][col], p - 2, p)
-            top = m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(nrows):
-            f = m[r][col]
-            if r == rank or not f:
-                continue
-            if p is None:
-                m[r] = [x - f * y for x, y in zip(m[r], top)]
-            else:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], top)]
-        pivots.append(col)
-        if rank + 1 == nrows:
-            break
-    return m[:len(pivots)], pivots
+    _, pivots, cols = _columns(rows, p)
+    red = [[Fraction(0) if p is None else 0] * len(cols) for _ in pivots]
+    for c, col in enumerate(cols):
+        for i, x in col.items():
+            red[i][c] = x
+    return red, pivots
 
 
 def _solve(rows, rhs, p):
-    """One solution x of rows @ x = rhs (over F_p, or Q when p is None)."""
-    if not rows:
-        return None if any(v % p if p else v for v in rhs) else []
-    ncols = len(rows[0])
-    red, pivots = echelon([list(row) + [b] for row, b in zip(rows, rhs)], p)
-    if pivots and pivots[-1] == ncols:
+    """One solution x of rows @ x = rhs (over F_p, or Q when p is None),
+    zero off the pivot columns."""
+    span, pivots, cols = _columns(rows, p)
+    comb = span.express(dict(enumerate(rhs)))
+    if comb is None:
         return None  # inconsistent
-    x = [0 if p else Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
+    x = [Fraction(0) if p is None else 0] * len(cols)
+    for i, c in comb.items():
+        x[pivots[i]] = c
     return x
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    return len(echelon(rows, p)[1])
+    return _columns(rows, p)[0].size
 
 
 def rref_mod_p(rows: list[list[int]], p: int):
@@ -74,21 +133,17 @@ def rref_mod_p(rows: list[list[int]], p: int):
 
 
 def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : rows @ v = 0} over F_p (vectors of length ncols)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = echelon(rows, p)
-    pivot_set = set(pivots)
+    """Basis of {v : rows @ v = 0} over F_p (vectors of length ncols), one
+    per non-pivot column."""
+    _, pivots, cols = _columns(rows, p)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(rref, pivots):
-            v[pc] = (-row[fc]) % p
-        basis.append(v)
+    for fc, col in enumerate(cols):
+        if fc not in pivots:
+            v = [0] * len(cols)
+            v[fc] = 1
+            for i, c in col.items():
+                v[pivots[i]] = -c % p
+            basis.append(v)
     return basis
 
 
@@ -98,7 +153,7 @@ def solve_mod_p(rows: list[list[int]], rhs: list[int], p: int):
 
 
 def rank_frac(rows) -> int:
-    return len(echelon(rows)[1])
+    return _columns(rows, None)[0].size
 
 
 def solve_frac(rows, rhs):

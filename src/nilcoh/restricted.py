@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alcoves import require_prime
+from .alcoves import PreconditionError, require_prime
 from .characters import FormalCharacter, GradedCharacter
 from .koszul import nilradical_constants
-from .linalg import nullspace_mod_p, rref_mod_p, solve_mod_p
+from .linalg import Span
 from .rootsystem import RootSystem
 
 DEFAULT_DIM_BUDGET = 5 ** 6
@@ -202,9 +202,27 @@ class MinimalResolution:
                     out[key] = (out.get(key, 0) + c * c2 * c3) % alg.p
         return {k: v for k, v in out.items() if v}
 
+    def _d_block(self, degree: int, dom: list):
+        """d_degree on the weight block with basis `dom`.
+
+        Adds the image of each b in `dom` to one Span and returns it, the
+        elements whose images it kept, and the kernel basis: for each other
+        b, {b: 1} - sum c * kept[i] where add(d b) returned {i: c}."""
+        p = self.alg.p
+        span = Span(p)
+        kept, kernel = [], []
+        for b in dom:
+            comb = span.add(self._apply_diff(degree, {b: 1}))
+            if comb is None:
+                kept.append(b)
+            else:
+                elem = {kept[i]: -comb[i] % p for i in sorted(comb)}
+                elem[b] = 1
+                kernel.append(elem)
+        return span, kept, kernel
+
     def _build(self):
         alg = self.alg
-        p = alg.p
         zero_mono = (0,) * alg.n
         self.stages.append(ResolutionStage(0, [(0,) * alg.rs.rank], []))
         # stage-0 kernel: the augmentation ideal, basis = non-unit monomials
@@ -221,79 +239,41 @@ class MinimalResolution:
         alg = self.alg
         p = alg.p
         prev_weights = self.stages[-1].gen_weights
-        blocks = self._elem_weight_blocks(prev_weights)
         weights = alg_monomials(alg)
 
-        def weight_of_elem(elem):
-            (s, mono), _ = next(iter(elem.items()))
-            return tuple(g + m for g, m in zip(prev_weights[s], weights[mono]))
-
+        # the kernel elements, and the A_+ K ones x_g k at weight(k) + gamma
         ker_by_wt: dict[tuple, list] = {}
-        for elem in kernel:
-            ker_by_wt.setdefault(weight_of_elem(elem), []).append(elem)
-
-        # A_+ K contributions land at weight(k) + gamma
         aug_by_wt: dict[tuple, list] = {}
         for elem in kernel:
-            wt = weight_of_elem(elem)
+            s0, mono0 = next(iter(elem))
+            wt = tuple(g + m for g, m in zip(prev_weights[s0], weights[mono0]))
+            ker_by_wt.setdefault(wt, []).append(elem)
             for g in range(alg.n):
-                gwt = tuple(a + b for a, b in zip(wt, alg._root_fund[g]))
                 moved: dict = {}
                 for (s, mono), c in elem.items():
                     for m2, c2 in alg.mult_gen(g, mono).items():
-                        key = (s, m2)
-                        moved[key] = (moved.get(key, 0) + c * c2) % p
-                moved = {k: v for k, v in moved.items() if v}
-                if moved:
-                    aug_by_wt.setdefault(gwt, []).append(moved)
+                        moved[(s, m2)] = moved.get((s, m2), 0) + c * c2
+                gwt = tuple(a + b for a, b in zip(wt, alg._root_fund[g]))
+                aug_by_wt.setdefault(gwt, []).append(moved)
 
-        # Columns: the A_+ K span, then the kernel elements.  A kernel
-        # element is a new generator exactly when its column is a pivot,
-        # i.e. it is independent of the span and of the kernel before it.
+        # A kernel element is a new generator exactly when it is independent
+        # of the A_+ K span and of the kernel elements before it.
         gen_weights, diff = [], []
         for wt in sorted(ker_by_wt):
-            kers = ker_by_wt[wt]
-            cols = aug_by_wt.get(wt, []) + kers
-            first = len(cols) - len(kers)
-            table = {b: i for i, b in enumerate(blocks[wt])}
-            matrix = [[0] * len(cols) for _ in table]
-            for c, elem in enumerate(cols):
-                for key, val in elem.items():
-                    matrix[table[key]][c] = val
-            for c in rref_mod_p(matrix, p)[1]:
-                if c >= first:
+            span = Span(p)
+            for elem in aug_by_wt.get(wt, []):
+                span.add(elem)
+            for elem in ker_by_wt[wt]:
+                if span.add(elem) is None:
                     gen_weights.append(wt)
-                    diff.append(kers[c - first])
+                    diff.append(elem)
         return gen_weights, diff
 
     def _kernel(self, degree: int) -> list:
         """Basis of ker(d_degree) as elements of stage `degree`."""
-        alg = self.alg
-        p = alg.p
-        stage = self.stages[degree]
-        prev = self.stages[degree - 1]
-        dom_blocks = self._elem_weight_blocks(stage.gen_weights)
-        cod_blocks = self._elem_weight_blocks(prev.gen_weights)
-        kernel = []
-        for wt in sorted(dom_blocks):
-            dom = dom_blocks[wt]
-            cod = cod_blocks.get(wt, [])
-            cod_pos = {b: i for i, b in enumerate(cod)}
-            matrix = [[0] * len(dom) for _ in cod]
-            for c, (s, mono) in enumerate(dom):
-                img = self._apply_diff(degree, {(s, mono): 1})
-                for key, val in img.items():
-                    matrix[cod_pos[key]][c] = val
-            if cod:
-                null = nullspace_mod_p(matrix, p)
-            else:
-                null = [[1 if i == c else 0 for i in range(len(dom))]
-                        for c in range(len(dom))]
-            for v in null:
-                elem = {dom[i]: x for i, x in enumerate(v) if x}
-                if elem:
-                    kernel.append(elem)
-        return kernel
+        blocks = self._elem_weight_blocks(self.stages[degree].gen_weights)
+        return [elem for wt in sorted(blocks)
+                for elem in self._d_block(degree, blocks[wt])[2]]
 
     # -- outputs -------------------------------------------------------
 
@@ -344,10 +324,12 @@ def alg_monomials(alg: RestrictedAlgebra) -> dict:
 
 def ext_dims(alg: RestrictedAlgebra, max_degree: int = 4):
     """(GradedCharacter, MinimalResolution) through the given degree."""
+    if max_degree < 0:
+        raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
     if max_degree > 6:
         raise BudgetError("max_degree above the supported default of 6")
     res = MinimalResolution(alg, max_degree)
-    assert res.check_minimal()
+    assert res.check_minimal() and res.check_complex()
     return res.ext_character(), res
 
 
@@ -382,9 +364,8 @@ def yoneda_product(res: MinimalResolution, z1, z2):
                 for s in range(len(res.stages[d2].gen_weights))]
     for k in range(1, d1 + 1):
         src = res.stages[d2 + k]
-        tgt = res.stages[k]
-        tgt_blocks = res._elem_weight_blocks(tgt.gen_weights)
-        cod_blocks = res._elem_weight_blocks(res.stages[k - 1].gen_weights)
+        tgt_blocks = res._elem_weight_blocks(res.stages[k].gen_weights)
+        d_blocks: dict = {}  # weight -> (span of d_k images, kept elements)
         maps = []
         for s, swt in enumerate(src.gen_weights):
             # rhs = g_{k-1}(d_{d2+k}(e_s)), an element of F_{k-1}
@@ -400,34 +381,19 @@ def yoneda_product(res: MinimalResolution, z1, z2):
             # weight swt - weight(e_{g2idx})
             wt = tuple(a - b for a, b in
                        zip(swt, res.stages[d2].gen_weights[g2idx]))
-            dom = tgt_blocks.get(wt, [])
-            if not dom:
-                if rhs:
-                    raise RuntimeError("chain-map lifting failed (empty block)")
-                maps.append({})
-                continue
-            cod = cod_blocks.get(wt, [])
-            cod_pos = {b: i for i, b in enumerate(cod)}
-            matrix = [[0] * len(dom) for _ in cod]
-            for c, (s2, mono) in enumerate(dom):
-                img = res._apply_diff(k, {(s2, mono): 1})
-                for key, val in img.items():
-                    matrix[cod_pos[key]][c] = val
-            vec = [0] * len(cod)
-            for key, v in rhs.items():
-                vec[cod_pos[key]] = v
-            sol = solve_mod_p(matrix, vec, p)
+            if wt not in d_blocks:
+                d_blocks[wt] = res._d_block(k, tgt_blocks.get(wt, []))[:2]
+            span, kept = d_blocks[wt]
+            sol = span.express(rhs)
             if sol is None:
                 raise RuntimeError("chain-map lifting failed (no solution)")
-            maps.append({dom[i]: x for i, x in enumerate(sol) if x})
+            maps.append({kept[i]: sol[i] for i in sorted(sol)})
         chain[k] = maps
 
     # z1 o g_{d1}: evaluate the dual cocycle of generator g1idx on each
     # generator image (the unit-coefficient of the g1idx component)
     out = {}
     for s in range(len(res.stages[total].gen_weights)):
-        # image of e_s under d then lifted map: actually g_{d1} is defined
-        # on F_{d2+d1} = F_total
         val = chain[d1][s].get((g1idx, zero_mono), 0) if d1 > 0 else \
             (1 if s == g2idx and g1idx == 0 else 0)
         if val % p:

@@ -54,12 +54,13 @@ def _fact(n):
 class WeylElement:
     """A Weyl group element: exact action matrix plus one reduced word."""
 
-    __slots__ = ("matrix", "word", "length")
+    __slots__ = ("matrix", "word", "length", "_hash")
 
     def __init__(self, matrix: tuple, word: tuple):
         self.matrix = matrix
         self.word = word
         self.length = len(word)
+        self._hash = hash(matrix)
 
     def act(self, mu: tuple) -> tuple:
         return tuple(sum(row[j] * mu[j] for j in range(len(mu)))
@@ -81,7 +82,7 @@ class WeylElement:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash(self.matrix)
+        return self._hash
 
     def __repr__(self):
         if not self.word:

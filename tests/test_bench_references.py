@@ -18,7 +18,8 @@ from nilcoh import weyl
 from nilcoh.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "nilbench"
-CHEAP_JOBS = ("suite-G2-p7", "oracle-A3-Q", "ring-A3-l7", "sumdot-A3-p5")
+CHEAP_JOBS = ("suite-G2-p7", "oracle-A3-Q", "ring-A3-l7", "sumdot-A3-p5",
+              "ext-A2-p7-d6")
 
 
 def _workloads():

@@ -169,6 +169,19 @@ def test_exit_code_2_on_kostant_group_too_large(capsys):
                         "|W(E8)| = 696729600 exceeds bound")
 
 
+def test_exit_code_2_on_negative_max_degree(capsys):
+    _assert_input_error(capsys, ("ext", "--type", "A2", "--p", "5",
+                                 "--max-degree", "-1"),
+                        "max_degree must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("degree", ("1", "2", "3"))
+def test_exit_code_2_on_check_square_below_degree_4(capsys, degree):
+    _assert_input_error(capsys, ("ext", "--type", "B2", "--p", "5",
+                                 "--max-degree", degree, "--check-square"),
+                        "--check-square needs --max-degree >= 4")
+
+
 def test_kostant_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch):
     from nilcoh import weyl
     monkeypatch.setenv("NILCOH_CACHE", str(tmp_path))

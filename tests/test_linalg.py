@@ -3,8 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcoh.linalg import (echelon, nullspace_mod_p, rank_frac, rank_mod_p,
-                           rref_mod_p, solve_frac, solve_mod_p)
+from nilcoh.linalg import (Span, echelon, nullspace_mod_p, rank_frac,
+                           rank_mod_p, rref_mod_p, solve_frac, solve_mod_p)
 
 PRIMES = (2, 3, 5, 7)
 # Above the Hadamard bound (3 * sqrt(5))^5 ~ 4.1e5 for 5x5 matrices with
@@ -90,3 +90,66 @@ def test_degenerate_shapes():
     assert solve_mod_p([], [0, 3], 3) == []
     assert solve_mod_p([], [1], 3) is None
     assert solve_frac([], [Fraction(1, 2)]) is None
+
+
+# Sparse vectors keyed like free-module elements of the Ext resolution:
+# (generator index, PBW monomial).
+KEYS = [(s, (a, b)) for s in range(2) for a in range(2) for b in range(2)]
+sparse_vectors = st.dictionaries(st.sampled_from(KEYS), st.integers(-3, 3),
+                                 max_size=4)
+
+
+def _normal(vec, p):
+    return {k: c % p if p else Fraction(c) for k, c in vec.items()
+            if (c % p if p else c)}
+
+
+def _combine(kept, comb, p):
+    out = {}
+    for i, c in comb.items():
+        for k, x in kept[i].items():
+            out[k] = out.get(k, 0) + c * x
+    return _normal(out, p)
+
+
+def _rank(vecs, p):
+    """Rank by fraction-free elimination, independent of nilcoh.linalg."""
+    rows, rank = [_normal(v, p) for v in vecs], 0
+    while rows:
+        row = rows.pop()
+        if row:
+            lead, c = next(iter(row.items()))
+            rows = [_normal({k: c * r.get(k, 0)
+                             - r.get(lead, 0) * row.get(k, 0)
+                             for k in r.keys() | row.keys()}, p)
+                    for r in rows]
+            rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sparse_vectors, max_size=12),
+       st.lists(sparse_vectors, max_size=4),
+       st.sampled_from(PRIMES + (None,)))
+def test_span_combinations_rebuild_their_vectors(vecs, probes, p):
+    span, kept = Span(p), []
+    for vec in vecs:
+        size, expressed = span.size, span.express(vec)
+        comb = span.add(vec)
+        assert (expressed is None) == (span.size == size + 1)
+        if comb is None:
+            kept.append(vec)
+        else:
+            assert comb == expressed
+            assert _combine(kept, comb, p) == _normal(vec, p)
+    assert span.size == len(kept) == _rank(kept, p) == _rank(vecs, p)
+    for vec in probes:
+        comb = span.express(vec)
+        assert span.size == len(kept)
+        if comb is not None:
+            assert _combine(kept, comb, p) == _normal(vec, p)
+        else:
+            grown = Span(p)
+            for v in kept + [vec]:
+                grown.add(v)
+            assert grown.size == len(kept) + 1
