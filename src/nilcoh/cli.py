@@ -56,8 +56,14 @@ def _parse_J(text: str) -> tuple:
     return tuple(sorted(set(_parse_ints(text, "--J"))))
 
 
-def _parse_lambda(text: str, rank: int) -> tuple:
-    coords = tuple(_parse_ints(text, "--lambda"))
+def _parse_lambda(args, rank: int, required: bool = False) -> tuple:
+    """--lambda as fundamental coordinates; without it, the zero weight,
+    or a precondition failure when the command needs an explicit weight."""
+    if not args.lam:
+        if required:
+            raise PreconditionError(f"{args.command} needs --lambda")
+        return (0,) * rank
+    coords = tuple(_parse_ints(args.lam, "--lambda"))
     if len(coords) != rank:
         raise PreconditionError(
             f"lambda needs {rank} fundamental coordinates, got {len(coords)}")
@@ -135,7 +141,8 @@ def _add_common(sp, need_lambda=False):
                     help="comma-separated 0-based simple root indices")
     if need_lambda:
         sp.add_argument("--lambda", dest="lam", default=None,
-                        help="fundamental coordinates, comma-separated")
+                        help="fundamental coordinates, comma-separated"
+                             " (alcove, linkage: required; else default 0)")
     sp.add_argument("--max-degree", dest="max_degree", type=int, default=4)
     sp.add_argument("--format", choices=FORMATS, default="json")
     sp.add_argument("--unsafe", action="store_true",
@@ -225,7 +232,7 @@ def _run(args) -> dict:
 
     if cmd == "alcove":
         mode, modulus = _mode_modulus(args)
-        lam = _parse_lambda(args.lam, rs.rank)
+        lam = _parse_lambda(args, rs.rank, required=True)
         return {
             "lambda": list(lam),
             "interior": in_alcove(lam, modulus, rs, closed=False),
@@ -234,7 +241,7 @@ def _run(args) -> dict:
 
     if cmd == "linkage":
         mode, modulus = _mode_modulus(args)
-        lam = _parse_lambda(args.lam, rs.rank)
+        lam = _parse_lambda(args, rs.rank, required=True)
         datum = weak_linkage(lam, modulus, rs, group)
         if datum is None:
             return {"lambda": list(lam), "linked": False}
@@ -247,7 +254,7 @@ def _run(args) -> dict:
             mode, modulus = "classical", None
         else:
             mode, modulus = _mode_modulus(args)
-        lam = _parse_lambda(args.lam or "0," * (rs.rank - 1) + "0", rs.rank)
+        lam = _parse_lambda(args, rs.rank)
         kd = kostant_decomposition(lam, J, rs, group, mode, modulus)
         out = kd.to_json()
         out["dims"] = kd.poincare()
@@ -256,7 +263,7 @@ def _run(args) -> dict:
 
     if cmd == "character":
         mode, modulus = _mode_modulus(args)
-        lam = _parse_lambda(args.lam or "0," * (rs.rank - 1) + "0", rs.rank)
+        lam = _parse_lambda(args, rs.rank)
         if args.which == "frobenius":
             bg = frobenius_kernel_character(lam, J, rs, group, mode, modulus,
                                             args.max_degree)
@@ -334,8 +341,7 @@ def _run(args) -> dict:
             _, cert = search_levi_weights(rs, group, J, modulus)
             return cert
         if args.search == "dot-collisions":
-            lam = _parse_lambda(args.lam or "0," * (rs.rank - 1) + "0",
-                                rs.rank)
+            lam = _parse_lambda(args, rs.rank)
             _, cert = search_dot_collisions(rs, group, lam, modulus,
                                             args.domain,
                                             quantum=args.l is not None)

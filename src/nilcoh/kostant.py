@@ -125,17 +125,6 @@ class BigradedCharacter:
     def dims(self) -> list[int]:
         return self.collapse().dims()
 
-    def invariant_part(self) -> GradedCharacter:
-        """Support weights divisible by the modulus (the T_1-invariants)."""
-        gc = GradedCharacter()
-        m = self.modulus
-        for n in range(self.max_degree + 1):
-            chi = self.degree(n)
-            gc.set_degree(n, FormalCharacter(
-                {mu: mult for mu, mult in chi.support.items()
-                 if all(c % m == 0 for c in mu)}))
-        return gc
-
     def to_json(self) -> dict:
         return {
             "type": self.rs.label, "J": list(self.J), "lambda": list(self.lam),

@@ -183,6 +183,10 @@ class CEComplex:
                 f" at most {MAX_ORACLE_ROOTS}")
         self.index = {g: k for k, g in enumerate(self.roots)}
         self.N = nilradical_constants(rs, self.roots)
+        # d f_k = -sum_{a<b, gamma_a+gamma_b=gamma_k} N_{ab} f_a ^ f_b
+        self._d_gen: dict[int, dict] = {}
+        for ab, (k, val) in self.N.items():
+            self._d_gen.setdefault(k, {})[ab] = -val
         # T-weight of each dual generator f_k: minus its root
         self._neg_fund = [tuple(-c for c in rs.root_to_fund(g))
                           for g in self.roots]
@@ -200,7 +204,7 @@ class CEComplex:
 
     def d_generator(self, k: int) -> dict:
         """d f_k = -sum_{a<b, gamma_a+gamma_b=gamma_k} N_{ab} f_a ^ f_b."""
-        return {ab: -val for ab, (t, val) in self.N.items() if t == k}
+        return self._d_gen.get(k, {})
 
     def d_basis_element(self, subset) -> dict:
         """Derivation extension: d(f_S) as dict {sorted subset: coeff}."""
@@ -237,18 +241,12 @@ class CEComplex:
 
     def _check_d_squared(self):
         for deg in range(len(self.roots)):
-            m1, dom, mid = self.d_matrix(deg)
-            m2, _, cod = self.d_matrix(deg + 1)
-            for c in range(len(dom)):
+            for subset in self.basis(deg):
                 acc = {}
-                for r in range(len(mid)):
-                    if not m1[r][c]:
-                        continue
-                    for r2 in range(len(cod)):
-                        if m2[r2][r]:
-                            acc[r2] = acc.get(r2, 0) + m2[r2][r] * m1[r][c]
-                assert all(v == 0 for v in acc.values()), \
-                    f"d^2 != 0 at degree {deg}"
+                for mid, val in self.d_basis_element(subset).items():
+                    for tgt, val2 in self.d_basis_element(mid).items():
+                        acc[tgt] = acc.get(tgt, 0) + val * val2
+                assert not any(acc.values()), f"d^2 != 0 at degree {deg}"
 
 
 def _blocks_by_weight(ce: CEComplex, degree: int):

@@ -1,9 +1,13 @@
 """Exhaustive searches over Weyl-group data with machine-checkable output.
 
-Each search iterates its entire declared domain, solves for the candidate
-sigma by divisibility, re-validates every hit by direct arithmetic, and
-wraps the result in a certificate carrying the conventions (Cartan data
-hash, positive-root order) that the signs depend on.
+Each search covers its entire declared domain with one collision rule
+(`_hits`): the right-hand points are bucketed by their residue vector mod
+the modulus, so only congruent points are compared; sigma is solved by
+division, checked nonzero and in the lattice, and every hit is re-validated
+by direct arithmetic.  Violations are listed in the order of the plain
+nested loop over the domain.  Each result is wrapped in a certificate
+carrying the conventions (Cartan data hash, positive-root order) that the
+signs depend on.
 """
 
 from __future__ import annotations
@@ -12,13 +16,15 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from . import __version__ as TOOL_VERSION
 from .alcoves import (PreconditionError, admissibility, in_alcove,
                       require_prime)
 from .characters import levi_simple_character
-from .kostant import kostant_decomposition
+from .kostant import frobenius_kernel_character, kostant_decomposition
 from .koszul import cochain_cup, oracle_cohomology
+from .restricted import BudgetError, build_algebra, ext_dims
 from .ring import nil_product
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
@@ -62,26 +68,44 @@ def _word(w):
     return [i + 1 for i in w.word]
 
 
+def _hits(left, right, modulus: int, in_lattice) -> list:
+    """Every Violation(a + (b,), sigma, modulus) with x = y + modulus*sigma,
+    sigma != 0 and in_lattice(sigma), for left points (a, x) and right
+    points (b, y), in double-loop order (left outer, right inner).
+
+    The right points are bucketed by their residue vector mod the modulus,
+    so each left point meets only the points congruent to it."""
+    buckets: dict[tuple, list] = {}
+    for b, y in right:
+        buckets.setdefault(tuple(c % modulus for c in y), []).append((b, y))
+    out = []
+    for a, x in left:
+        for b, y in buckets.get(tuple(c % modulus for c in x), ()):
+            sigma = tuple((u - v) // modulus for u, v in zip(x, y))
+            if any(sigma) and in_lattice(sigma):
+                # re-validate
+                assert x == tuple(v + modulus * s for v, s in zip(y, sigma))
+                out.append(Violation(a + (b,), sigma, modulus))
+    return out
+
+
+def _pair_sums(points):
+    """((a, b), x + y) over ordered pairs of points, generated lazily."""
+    for a, x in points:
+        for b, y in points:
+            yield (a, b), tuple(u + v for u, v in zip(x, y))
+
+
+def _dot_points(rs: RootSystem, group: WeylGroup, lam: tuple) -> list:
+    return [(_word(w), w.dot(lam, rs)) for w in group.elements]
+
+
 def search_sum_dot(rs: RootSystem, group: WeylGroup, p: int):
     """All (w1, w2, w3) with w1.0 + w2.0 = w3.0 + p*sigma,
     sigma in ZPhi \\ {0}; exhaustive over W^3."""
     t0 = time.time()
-    zero = (0,) * rs.rank
-    dots = [(w, w.dot(zero, rs)) for w in group.elements]
-    violations = []
-    for w1, d1 in dots:
-        for w2, d2 in dots:
-            lhs = tuple(a + b for a, b in zip(d1, d2))
-            for w3, d3 in dots:
-                diff = tuple(a - b for a, b in zip(lhs, d3))
-                if any(diff) and all(c % p == 0 for c in diff):
-                    sigma = tuple(c // p for c in diff)
-                    if rs.in_root_lattice(sigma):
-                        # re-validate
-                        assert tuple(a + b for a, b in zip(d1, d2)) == \
-                            tuple(a + p * s for a, s in zip(d3, sigma))
-                        violations.append(Violation(
-                            (_word(w1), _word(w2), _word(w3)), sigma, p))
+    dots = _dot_points(rs, group, (0,) * rs.rank)
+    violations = _hits(_pair_sums(dots), dots, p, rs.in_root_lattice)
     cert = _wrap("sum-dot", rs, p, "ZPhi", violations, t0)
     return violations, cert
 
@@ -96,18 +120,8 @@ def search_levi_weights(rs: RootSystem, group: WeylGroup, J, p: int):
     for w in group.min_coset_reps(J):
         chi = levi_simple_character(w.dot(zero, rs), J, rs)
         supports.update(chi.support)
-    supports = sorted(supports)
-    violations = []
-    for m1 in supports:
-        for m2 in supports:
-            lhs = tuple(a + b for a, b in zip(m1, m2))
-            for m3 in supports:
-                diff = tuple(a - b for a, b in zip(lhs, m3))
-                if any(diff) and all(c % p == 0 for c in diff):
-                    sigma = tuple(c // p for c in diff)
-                    if rs.in_root_lattice(sigma):
-                        violations.append(Violation(
-                            (list(m1), list(m2), list(m3)), sigma, p))
+    weights = [(list(m), m) for m in sorted(supports)]
+    violations = _hits(_pair_sums(weights), weights, p, rs.in_root_lattice)
     cert = _wrap("levi-weights", rs, p, "ZPhi", violations, t0)
     cert["J"] = list(J)
     return violations, cert
@@ -129,16 +143,11 @@ def search_dot_collisions(rs: RootSystem, group: WeylGroup, lam: tuple,
                             "flags": profile.flags()}
             cert["exhaustive"] = False
             return None, cert
-    dots = [(w, w.dot(lam, rs)) for w in group.elements]
-    violations = []
-    for w1, d1 in dots:
-        for w2, d2 in dots:
-            diff = tuple(a - b for a, b in zip(d1, d2))
-            if any(diff) and all(c % modulus == 0 for c in diff):
-                sigma = tuple(c // modulus for c in diff)
-                if sigma_domain == "X" or rs.in_root_lattice(sigma):
-                    violations.append(Violation(
-                        (_word(w1), _word(w2)), sigma, modulus))
+    dots = _dot_points(rs, group, lam)
+    in_lattice = rs.in_root_lattice if sigma_domain == "ZPhi" else \
+        (lambda sigma: True)
+    violations = _hits((((a,), x) for a, x in dots), dots, modulus,
+                       in_lattice)
     cert = _wrap("dot-collisions", rs, modulus, sigma_domain, violations, t0)
     cert["lambda"] = list(lam)
     return violations, cert
@@ -146,21 +155,9 @@ def search_dot_collisions(rs: RootSystem, group: WeylGroup, lam: tuple,
 
 def alcove_interior_weights(rs: RootSystem, p: int):
     """All dominant weights in the interior bottom p-alcove."""
-    out = []
     # dominant coordinates are bounded by p: already (lam_i + 1) <= (lam+rho, beta^vee)
-    for coords in _box(rs.rank, p):
-        if in_alcove(coords, p, rs, closed=False):
-            out.append(coords)
-    return out
-
-
-def _box(rank, p):
-    if rank == 0:
-        yield ()
-        return
-    for c in range(p):
-        for rest in _box(rank - 1, p):
-            yield (c,) + rest
+    return [coords for coords in product(range(p), repeat=rs.rank)
+            if in_alcove(coords, p, rs, closed=False)]
 
 
 def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:
@@ -178,7 +175,6 @@ def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:
             report["pass"] = False
 
     # kostant vs oracle, every J
-    from itertools import combinations
     zero = (0,) * rs.rank
     for size in range(rs.rank + 1):
         for J in combinations(range(rs.rank), size):
@@ -216,8 +212,6 @@ def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:
                f"skipped: p={p} <= 2(h-1)={2*(h-1)}, identity not asserted")
 
     # ext dims vs bigraded character (small cases only)
-    from .restricted import BudgetError, build_algebra, ext_dims
-    from .kostant import frobenius_kernel_character
     if p > h:
         try:
             alg = build_algebra((), p, rs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+from math import factorial
 from operator import mul
 from pathlib import Path
 
@@ -38,17 +39,12 @@ class GroupTooLargeError(RuntimeError):
     pass
 
 
-_WEYL_ORDERS = {"A": lambda n: _fact(n + 1), "B": lambda n: 2 ** n * _fact(n),
-                "C": lambda n: 2 ** n * _fact(n), "D": lambda n: 2 ** (n - 1) * _fact(n),
+_WEYL_ORDERS = {"A": lambda n: factorial(n + 1),
+                "B": lambda n: 2 ** n * factorial(n),
+                "C": lambda n: 2 ** n * factorial(n),
+                "D": lambda n: 2 ** (n - 1) * factorial(n),
                 "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
                 "F": lambda n: 1152, "G": lambda n: 12}
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class WeylElement:

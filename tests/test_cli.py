@@ -158,6 +158,24 @@ def test_exit_code_2_on_non_integer_lambda(capsys):
                         "--lambda needs comma-separated integers")
 
 
+@pytest.mark.parametrize("command", ("alcove", "linkage"))
+def test_exit_code_2_on_missing_lambda(capsys, command):
+    _assert_input_error(capsys, (command, "--type", "A2", "--p", "5"),
+                        "--lambda")
+
+
+def test_lambda_defaults_to_zero_weight(capsys):
+    for argv in (("kostant", "--type", "A2", "--p", "5"),
+                 ("character", "--type", "B2", "--p", "5"),
+                 ("verify", "dot-collisions", "--type", "B2", "--p", "5")):
+        implicit = run_json(capsys, *argv)
+        explicit = run_json(capsys, *argv, "--lambda", "0,0")
+        for payload in (implicit, explicit):
+            payload.pop("config")
+            payload.pop("elapsed_ms", None)
+        assert implicit == explicit, argv
+
+
 def test_exit_code_2_on_weyl_group_too_large(capsys):
     _assert_input_error(capsys, ("weyl", "--type", "E8"),
                         "|W(E8)| = 696729600 exceeds bound")

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from nilcoh import koszul
 from nilcoh.alcoves import PreconditionError
 from nilcoh.koszul import (CEComplex, OracleBudgetError, chevalley_constants,
                            cochain_cup, oracle_cohomology)
@@ -44,6 +45,24 @@ def test_ce_complex_d_generator():
     # d f_{alpha1+alpha2} = -N * f_{alpha1} ^ f_{alpha2}
     assert ce.d_generator(1) == {(0, 2): -1}
     assert ce.d_generator(0) == {}  # simple roots are cocycles
+
+
+def test_d_squared_check_catches_a_wrong_constant(monkeypatch):
+    # A3 has one Jacobi relation and each of its four constants enters it,
+    # so flipping any one sign makes d o d nonzero
+    original = koszul.nilradical_constants
+
+    def flipped(rs, roots):
+        out = original(rs, roots)
+        ab = next(iter(out))
+        k, val = out[ab]
+        out[ab] = (k, -val)
+        return out
+
+    CEComplex((), build("A3"))
+    monkeypatch.setattr(koszul, "nilradical_constants", flipped)
+    with pytest.raises(AssertionError, match=r"d\^2 != 0"):
+        CEComplex((), build("A3"))
 
 
 def test_top_degree_differential_zero():

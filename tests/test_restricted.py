@@ -72,11 +72,19 @@ def test_a2_ext_matches_prediction():
     assert gc == fk.collapse()
 
 
-def test_b2_ext_reproduction():
+@pytest.fixture(scope="module")
+def b2_p5():
+    """The B2 p=5 algebra and its resolution through degree 4, shared by
+    the tests that only read them."""
     rs = build("B2")
     g = enumerate_group(rs)
     alg = build_algebra((), 5, rs)
     gc, res = ext_dims(alg, 4)
+    return rs, g, alg, gc, res
+
+
+def test_b2_ext_reproduction(b2_p5):
+    rs, g, alg, gc, res = b2_p5
     assert gc.dims() == [1, 2, 6, 10, 19]
     fk = frobenius_kernel_character((0, 0), (), rs, g, "modular", 5, 4)
     assert gc == fk.collapse()
@@ -90,11 +98,8 @@ def test_h1_weights_are_negated_simples():
     assert set(gc[1].support) == {(-2, 1), (1, -2)}  # -alpha1, -alpha2
 
 
-def test_b2_square_nonzero():
-    rs = build("B2")
-    g = enumerate_group(rs)
-    alg = build_algebra((), 5, rs)
-    _, res = ext_dims(alg, 4)
+def test_b2_square_nonzero(b2_p5):
+    rs, g, _, _, res = b2_p5
     sb_sa = g.multiply(g.simple[1], g.simple[0])
     wt = sb_sa.dot((0, 0), rs)
     cert = square_certificate(res, 2, wt)
@@ -102,11 +107,8 @@ def test_b2_square_nonzero():
     assert cert["degree"] == 4
 
 
-def test_yoneda_identity_and_odd_squares():
-    rs = build("B2")
-    g = enumerate_group(rs)
-    alg = build_algebra((), 5, rs)
-    _, res = ext_dims(alg, 4)
+def test_yoneda_identity_and_odd_squares(b2_p5):
+    res = b2_p5[4]
     # H^0 generator is the identity for the product
     for i in range(len(res.stages[2].gen_weights)):
         assert yoneda_product(res, (0, 0), (2, i)) == {i: 1}
@@ -115,11 +117,8 @@ def test_yoneda_identity_and_odd_squares():
         assert yoneda_product(res, (1, i), (1, i)) == {}
 
 
-def test_yoneda_graded_commutative():
-    rs = build("B2")
-    g = enumerate_group(rs)
-    alg = build_algebra((), 5, rs)
-    _, res = ext_dims(alg, 4)
+def test_yoneda_graded_commutative(b2_p5):
+    _, _, alg, _, res = b2_p5
     p = alg.p
     n1 = len(res.stages[1].gen_weights)
     n2 = len(res.stages[2].gen_weights)

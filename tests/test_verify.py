@@ -1,3 +1,8 @@
+from itertools import product
+
+import pytest
+
+from nilcoh.characters import levi_simple_character
 from nilcoh.rootsystem import build
 from nilcoh.verify import (alcove_interior_weights, consistency_suite,
                            search_dot_collisions, search_levi_weights,
@@ -121,3 +126,81 @@ def test_certificate_fields():
                 "exhaustive", "elapsed_ms", "tool_version", "cartan_hash",
                 "gamma_order"):
         assert key in cert
+
+
+# ----------------------------------------------------------------------
+# The searches against plain nested loops written out here
+
+
+def _brute(points, arity, modulus, in_lattice):
+    """Every tuple (x_1, ..., x_arity) of points, first index slowest, with
+    x_1 + ... + x_{arity-1} = x_arity + modulus*sigma, sigma != 0 in the
+    lattice, as (witnesses, sigma)."""
+    out = []
+    for combo in product(points, repeat=arity):
+        *lhs, (_, last) = combo
+        diff = [sum(x[t] for _, x in lhs) - last[t]
+                for t in range(len(last))]
+        if any(diff) and all(c % modulus == 0 for c in diff):
+            sigma = tuple(c // modulus for c in diff)
+            if in_lattice(sigma):
+                out.append((tuple(a for a, _ in combo), sigma))
+    return out
+
+
+def _found(violations):
+    return [(v.witnesses, v.sigma) for v in violations]
+
+
+def _dots(rs, g, lam):
+    return [([i + 1 for i in w.word], w.dot(lam, rs)) for w in g.elements]
+
+
+@pytest.mark.parametrize("label", ("A2", "B2", "G2"))
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_sum_dot_matches_triple_loop(label, p):
+    rs, g = _setup(label)
+    violations, _ = search_sum_dot(rs, g, p)
+    assert all(v.modulus == p for v in violations)
+    expected = _brute(_dots(rs, g, (0,) * rs.rank), 3, p, rs.in_root_lattice)
+    assert _found(violations) == expected
+
+
+@pytest.mark.parametrize("label, J", (("A2", ()), ("A2", (0,)),
+                                      ("B2", ()), ("B2", (1,)),
+                                      ("G2", ()), ("G2", (0,)),
+                                      ("A3", ()), ("A3", (1,)),
+                                      ("A3", (0, 2))))
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_levi_weights_match_triple_loop(label, J, p):
+    rs, g = _setup(label)
+    violations, _ = search_levi_weights(rs, g, J, p)
+    supports = set()
+    for w in g.min_coset_reps(J):
+        supports.update(levi_simple_character(
+            w.dot((0,) * rs.rank, rs), J, rs).support)
+    weights = [(list(m), m) for m in sorted(supports)]
+    assert _found(violations) == _brute(weights, 3, p, rs.in_root_lattice)
+
+
+@pytest.mark.parametrize("label, lam", (("A2", (0, 0)), ("A2", (2, 1)),
+                                        ("B2", (0, 0)), ("B2", (1, 2)),
+                                        ("G2", (0, 0)), ("G2", (1, 0))))
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("domain", ("ZPhi", "X"))
+def test_dot_collisions_match_double_loop(label, lam, p, domain):
+    rs, g = _setup(label)
+    violations, cert = search_dot_collisions(rs, g, lam, p, domain)
+    in_lattice = rs.in_root_lattice if domain == "ZPhi" else \
+        (lambda sigma: True)
+    assert _found(violations) == _brute(_dots(rs, g, lam), 2, p, in_lattice)
+    assert cert["violations"] == [v.to_json() for v in violations]
+
+
+def test_brute_force_comparisons_see_hits():
+    # the comparisons above are not all between empty lists
+    rs, g = _setup("B2")
+    assert search_sum_dot(rs, g, 3)[0]
+    assert search_levi_weights(rs, g, (), 3)[0]
+    assert search_dot_collisions(rs, g, (0, 0), 3, "X")[0]
+    assert search_dot_collisions(rs, g, (1, 2), 5, "ZPhi")[0]
