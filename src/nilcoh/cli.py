@@ -151,10 +151,14 @@ def _add_common(sp, need_lambda=False):
 
 def _mode_modulus(args):
     if args.l is not None:
-        return "quantum", args.l
-    if args.p is not None:
-        return "modular", args.p
-    raise PreconditionError("specify --p (modular) or --l (quantum)")
+        mode, flag, modulus = "quantum", "--l", args.l
+    elif args.p is not None:
+        mode, flag, modulus = "modular", "--p", args.p
+    else:
+        raise PreconditionError("specify --p (modular) or --l (quantum)")
+    if modulus < 2:
+        raise PreconditionError(f"{flag} must be at least 2, got {modulus}")
+    return mode, modulus
 
 
 def build_parser():

@@ -23,15 +23,28 @@ class Span:
     vec = sum c * kept[i].  `express(vec)` returns the same combination
     without keeping anything, or None when `vec` lies outside the span.
 
+    A caller that needs membership only calls `drop_combinations()`.
+    From then on no combination is kept: `add` and `express` return True
+    where they would have returned one, so a stale or missing combination
+    can never be handed back.  Which vectors are kept, and `size`, stay
+    exactly as they would have been.
+
     Each kept vector becomes a row whose lead key has coefficient 1 and
     occurs in no other row, stored with the combination of kept vectors
-    it equals, so one pass over a vector's own keys reduces it.
+    it equals (empty once combinations are dropped), so one pass over a
+    vector's own keys reduces it.
     """
 
     def __init__(self, p: int | None = None):
         self.p = p
         self.size = 0
         self._rows: dict = {}  # lead key -> (row, combination)
+        self._track = True
+
+    def drop_combinations(self):
+        """Stop keeping combinations; see the class docstring."""
+        self._track = False
+        self._rows = {key: (row, {}) for key, (row, _) in self._rows.items()}
 
     def _clean(self, vec: dict) -> dict:
         """vec without zero entries, reduced mod p over F_p."""
@@ -62,11 +75,11 @@ class Span:
     def add(self, vec: dict):
         res, comb = self._reduce(vec)
         if not res:
-            return comb
+            return comb if self._track else True
         lead, c = next(iter(res.items()))
         inv = Fraction(1) / c if self.p is None else pow(c, -1, self.p)
         row = self._axpy({}, inv, res)
-        comb = self._axpy({self.size: inv}, -inv, comb)
+        comb = self._axpy({self.size: inv}, -inv, comb) if self._track else {}
         for key, (other, other_comb) in self._rows.items():
             f = other.get(lead)
             if f:
@@ -78,7 +91,9 @@ class Span:
 
     def express(self, vec: dict):
         res, comb = self._reduce(vec)
-        return None if res else comb
+        if res:
+            return None
+        return comb if self._track else True
 
 
 def _columns(rows, p):

@@ -1,15 +1,23 @@
 """Ext algebra of the restricted enveloping algebra of the nilradical.
 
 Builds u(u_J) over F_p on PBW monomials with x_gamma^p = 0, computes a
-minimal free resolution of the trivial module by weight-blocked kernel
-extraction, reads off Betti numbers with T-weights, and evaluates Yoneda
-products by chain-map lifting.  This is the from-first-principles check of
-the character-level predictions.
+minimal free resolution of the trivial module, reads off Betti numbers with
+T-weights, and evaluates Yoneda products by chain-map lifting.  This is the
+from-first-principles check of the character-level predictions.
+
+Each stage of the resolution is one pass over the weights in order of
+height, in the manner of R. Bruner, "Calculation of large Ext modules"
+(1989): at each weight the images d(a g) of the basis elements above
+generators of lower weight are computed once, and give both the next
+kernel and the span of A_+K from which the new generators are chosen.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .alcoves import PreconditionError, require_prime
 from .characters import FormalCharacter, GradedCharacter
@@ -223,57 +231,102 @@ class MinimalResolution:
 
     def _build(self):
         alg = self.alg
-        zero_mono = (0,) * alg.n
         self.stages.append(ResolutionStage(0, [(0,) * alg.rs.rank], []))
         # stage-0 kernel: the augmentation ideal, basis = non-unit monomials
-        kernel = [{(0, mono): 1} for mono in alg_monomials(alg)
-                  if mono != zero_mono]
+        kernel = {wt: [{(0, mono): 1} for mono in monos]
+                  for wt, monos in _augmentation_monomials(alg).items()}
         for degree in range(1, self.max_degree + 1):
-            gen_weights, diff = self._minimal_generators(kernel)
-            self.stages.append(ResolutionStage(degree, gen_weights, diff))
-            if degree < self.max_degree:
-                kernel = self._kernel(degree)
+            kernel = self._stage(degree, kernel)
 
-    def _minimal_generators(self, kernel: list):
-        """Split K / (A_+ K): returns (weights, representative elements)."""
+    def _stage(self, degree: int, kernel: dict):
+        """Choose the stage-`degree` generators from `kernel`, the basis of
+        ker d_{degree-1} by weight, and return ker d_degree by weight (None
+        at the top stage).
+
+        Weights are visited by height, so every generator of lower weight
+        is known at wt.  Below the top stage, A_+K at wt is the image of
+        the block {a g : a in A_+, g of lower weight}: `_d_block` adds
+        those images to one Span and its dependent ones are ker d_degree
+        at wt.  The kernel elements at wt that the same span then keeps,
+        without combinations, are the new generators.  A new generator's
+        image lies outside A_+K, so leaving it out of the block changes no
+        kept set and no combination.  The top stage needs no next kernel
+        and spans A_+K by x_gamma k alone."""
         alg = self.alg
-        p = alg.p
-        prev_weights = self.stages[-1].gen_weights
-        weights = alg_monomials(alg)
+        top = degree == self.max_degree
+        # generators keyed (weight, j), the j-th kept at that weight, in a
+        # provisional stage through which `_d_block` reads their images
+        diff: dict[tuple, dict] = {}
+        self.stages.append(ResolutionStage(degree, [], diff))
+        found: dict[tuple, int] = {}         # weight -> generators there
+        below: dict[tuple, set] = {}         # weight -> generator weights below
+        monos = _augmentation_monomials(alg)  # weight -> non-unit monomials
+        form = _height_form(alg.rs)
+        heap = [(sum(map(mul, form, wt)), wt) for wt in kernel]
+        heapq.heapify(heap)
+        queued = set(kernel)
+        next_kernel: dict[tuple, list] = {}
+        while heap:
+            _, wt = heapq.heappop(heap)
+            if top:
+                span = self._augmented_span(kernel, wt)
+                elems = kernel[wt]
+            else:
+                block = [((w, j), a) for w in sorted(below.get(wt, ()))
+                         for j in range(found[w])
+                         for a in monos[tuple(x - y for x, y in zip(wt, w))]]
+                span, _, ker = self._d_block(degree, block)
+                if ker:
+                    next_kernel[wt] = ker
+                span.drop_combinations()
+                elems = kernel.pop(wt, ())
+            # the kernel elements at wt are a basis of K there, so a span
+            # of their number is all of K and leaves no new generator
+            if span.size == len(elems):
+                continue
+            gens = [elem for elem in elems if span.add(elem) is None]
+            for j, elem in enumerate(gens):
+                diff[(wt, j)] = elem
+            found[wt] = len(gens)
+            if top:
+                continue
+            for mw in monos:
+                up = tuple(x + y for x, y in zip(wt, mw))
+                below.setdefault(up, set()).add(wt)
+                if up not in queued:
+                    queued.add(up)
+                    heapq.heappush(heap, (sum(map(mul, form, up)), up))
 
-        # the kernel elements, and the A_+ K ones x_g k at weight(k) + gamma
-        ker_by_wt: dict[tuple, list] = {}
-        aug_by_wt: dict[tuple, list] = {}
-        for elem in kernel:
-            s0, mono0 = next(iter(elem))
-            wt = tuple(g + m for g, m in zip(prev_weights[s0], weights[mono0]))
-            ker_by_wt.setdefault(wt, []).append(elem)
-            for g in range(alg.n):
+        # number the generators by weight tuple, then kernel order
+        order = sorted(diff)
+        self.stages[degree] = ResolutionStage(
+            degree, [wt for wt, _ in order], [diff[key] for key in order])
+        if top:
+            return None
+        index = {key: i for i, key in enumerate(order)}
+        for ker in next_kernel.values():
+            ker[:] = [{(index[g], mono): c for (g, mono), c in elem.items()}
+                      for elem in ker]
+        return next_kernel
+
+    def _augmented_span(self, kernel: dict, wt: tuple) -> Span:
+        """Span of A_+K at wt, without combinations: x_gamma k for each
+        kernel element k at weight wt - gamma.  It stops once it has as
+        many rows as there are kernel elements at wt."""
+        alg = self.alg
+        span = Span(alg.p)
+        span.drop_combinations()
+        full = len(kernel[wt])
+        for g, gf in enumerate(alg._root_fund):
+            for elem in kernel.get(tuple(a - b for a, b in zip(wt, gf)), ()):
                 moved: dict = {}
                 for (s, mono), c in elem.items():
                     for m2, c2 in alg.mult_gen(g, mono).items():
                         moved[(s, m2)] = moved.get((s, m2), 0) + c * c2
-                gwt = tuple(a + b for a, b in zip(wt, alg._root_fund[g]))
-                aug_by_wt.setdefault(gwt, []).append(moved)
-
-        # A kernel element is a new generator exactly when it is independent
-        # of the A_+ K span and of the kernel elements before it.
-        gen_weights, diff = [], []
-        for wt in sorted(ker_by_wt):
-            span = Span(p)
-            for elem in aug_by_wt.get(wt, []):
-                span.add(elem)
-            for elem in ker_by_wt[wt]:
-                if span.add(elem) is None:
-                    gen_weights.append(wt)
-                    diff.append(elem)
-        return gen_weights, diff
-
-    def _kernel(self, degree: int) -> list:
-        """Basis of ker(d_degree) as elements of stage `degree`."""
-        blocks = self._elem_weight_blocks(self.stages[degree].gen_weights)
-        return [elem for wt in sorted(blocks)
-                for elem in self._d_block(degree, blocks[wt])[2]]
+                span.add(moved)
+                if span.size == full:
+                    return span
+        return span
 
     # -- outputs -------------------------------------------------------
 
@@ -310,6 +363,26 @@ class MinimalResolution:
                 if self._apply_diff(degree - 1, img):
                     return False
         return True
+
+
+def _augmentation_monomials(alg: RestrictedAlgebra) -> dict:
+    """{weight: the non-unit monomials of that weight, in lexicographic
+    order}: the basis of A_+ by weight."""
+    out: dict[tuple, list] = {}
+    for mono, wt in alg_monomials(alg).items():
+        if any(mono):
+            out.setdefault(wt, []).append(mono)
+    return out
+
+
+def _height_form(rs: RootSystem) -> tuple:
+    """Integer form on fundamental coordinates that is a positive multiple
+    of the height (the sum of simple-root coordinates), so it grows along
+    the weight order."""
+    cols = [sum(rs.fund_to_root(tuple(int(i == j) for i in range(rs.rank))))
+            for j in range(rs.rank)]
+    den = lcm(*(c.denominator for c in cols))
+    return tuple(int(c * den) for c in cols)
 
 
 def alg_monomials(alg: RestrictedAlgebra) -> dict:

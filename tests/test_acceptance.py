@@ -15,7 +15,7 @@ from nilcoh.characters import FormalCharacter, symmetric_character
 from nilcoh.kostant import (frobenius_kernel_character, kostant_decomposition,
                             parabolic_character, t1_invariants)
 from nilcoh.koszul import cochain_cup, oracle_cohomology
-from nilcoh.restricted import build_algebra, ext_dims, square_certificate
+from nilcoh.restricted import square_certificate
 from nilcoh.ring import (CohomologyRing, check_ring_laws, nil_product,
                          quantum_nil_product, square_free_basis,
                          straightening_confluent)
@@ -95,12 +95,9 @@ def test_criterion_4_bigraded_character():
     _report("criterion 4: B2 Frobenius-kernel dims 1,2,6,10,19", ok, t0, 1)
 
 
-def test_criterion_5_restricted_ext():
+def test_criterion_5_restricted_ext(b2_p5):
     t0 = time.time()
-    rs = build("B2")
-    g = enumerate_group(rs)
-    alg = build_algebra((), 5, rs)
-    gc, res = ext_dims(alg, 4)
+    rs, g, _, gc, res = b2_p5
     fk = frobenius_kernel_character((0, 0), (), rs, g, "modular", 5, 4)
     ok = gc.dims() == [1, 2, 6, 10, 19] and gc == fk.collapse()
     sb_sa = g.multiply(g.simple[1], g.simple[0])

@@ -193,6 +193,16 @@ def test_exit_code_2_on_negative_max_degree(capsys):
                         "max_degree must be >= 0, got -1")
 
 
+@pytest.mark.parametrize("search", ("sum-dot", "levi-weights",
+                                    "dot-collisions"))
+@pytest.mark.parametrize("flag,value", (("--p", "0"), ("--l", "0"),
+                                        ("--p", "-5"), ("--p", "1")))
+def test_exit_code_2_on_modulus_below_2(capsys, search, flag, value):
+    _assert_input_error(capsys, ("verify", search, "--type", "A2",
+                                 flag, value),
+                        f"{flag} must be at least 2, got {value}")
+
+
 @pytest.mark.parametrize("degree", ("1", "2", "3"))
 def test_exit_code_2_on_check_square_below_degree_4(capsys, degree):
     _assert_input_error(capsys, ("ext", "--type", "B2", "--p", "5",

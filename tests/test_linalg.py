@@ -153,3 +153,29 @@ def test_span_combinations_rebuild_their_vectors(vecs, probes, p):
             for v in kept + [vec]:
                 grown.add(v)
             assert grown.size == len(kept) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sparse_vectors, max_size=12),
+       st.lists(sparse_vectors, max_size=4),
+       st.sampled_from(PRIMES + (None,)), st.data())
+def test_span_without_combinations_keeps_the_same_vectors(vecs, probes, p,
+                                                          data):
+    drop_at = data.draw(st.integers(0, len(vecs)))
+    tracked, membership = Span(p), Span(p)
+    for i, vec in enumerate(vecs):
+        if i == drop_at:
+            membership.drop_combinations()
+        comb, got = tracked.add(vec), membership.add(vec)
+        if i < drop_at:
+            assert got == comb
+        else:
+            # never a combination, which a caller could take for a real one
+            assert got is (None if comb is None else True)
+        assert membership.size == tracked.size
+    if drop_at == len(vecs):
+        membership.drop_combinations()
+    for vec in probes:
+        comb = tracked.express(vec)
+        assert membership.express(vec) is (None if comb is None else True)
+    assert membership.size == tracked.size

@@ -4,9 +4,11 @@ import pytest
 
 from nilcoh.alcoves import PreconditionError
 from nilcoh.kostant import frobenius_kernel_character
-from nilcoh.restricted import (BudgetError, build_algebra, ext_dims,
-                               find_class_by_weight, square_certificate,
-                               yoneda_product)
+from nilcoh.linalg import Span
+from nilcoh.restricted import (BudgetError, MinimalResolution,
+                               ResolutionStage, alg_monomials, build_algebra,
+                               ext_dims, find_class_by_weight,
+                               square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -72,17 +74,6 @@ def test_a2_ext_matches_prediction():
     assert gc == fk.collapse()
 
 
-@pytest.fixture(scope="module")
-def b2_p5():
-    """The B2 p=5 algebra and its resolution through degree 4, shared by
-    the tests that only read them."""
-    rs = build("B2")
-    g = enumerate_group(rs)
-    alg = build_algebra((), 5, rs)
-    gc, res = ext_dims(alg, 4)
-    return rs, g, alg, gc, res
-
-
 def test_b2_ext_reproduction(b2_p5):
     rs, g, alg, gc, res = b2_p5
     assert gc.dims() == [1, 2, 6, 10, 19]
@@ -142,3 +133,57 @@ def test_find_class_by_weight():
     _, res = ext_dims(alg, 2)
     wt = g.multiply(g.simple[1], g.simple[0]).dot((0, 0), rs)
     assert len(find_class_by_weight(res, 2, wt)) == 1
+
+
+def _two_pass_stages(alg, max_degree):
+    """The resolution by two passes per stage: the generators are the
+    kernel elements independent of the x_gamma k and of the kernel
+    elements before them, weight by weight in sorted order; then the whole
+    kernel of the new differential comes from `_d_block` on every weight
+    block of the new stage."""
+    res = MinimalResolution.__new__(MinimalResolution)
+    res.alg, res.max_degree = alg, max_degree
+    res.stages = [ResolutionStage(0, [(0,) * alg.rs.rank], [])]
+    monos = alg_monomials(alg)
+    kernel = [{(0, mono): 1} for mono in monos if any(mono)]
+    for degree in range(1, max_degree + 1):
+        prev = res.stages[-1].gen_weights
+        ker_by_wt, aug_by_wt = {}, {}
+        for elem in kernel:
+            s0, mono0 = next(iter(elem))
+            wt = tuple(a + b for a, b in zip(prev[s0], monos[mono0]))
+            ker_by_wt.setdefault(wt, []).append(elem)
+            for g, gf in enumerate(alg._root_fund):
+                moved = {}
+                for (s, mono), c in elem.items():
+                    for m2, c2 in alg.mult_gen(g, mono).items():
+                        moved[(s, m2)] = moved.get((s, m2), 0) + c * c2
+                gwt = tuple(a + b for a, b in zip(wt, gf))
+                aug_by_wt.setdefault(gwt, []).append(moved)
+        gen_weights, diff = [], []
+        for wt in sorted(ker_by_wt):
+            span = Span(alg.p)
+            for elem in aug_by_wt.get(wt, ()):
+                span.add(elem)
+            for elem in ker_by_wt[wt]:
+                if span.add(elem) is None:
+                    gen_weights.append(wt)
+                    diff.append(elem)
+        res.stages.append(ResolutionStage(degree, gen_weights, diff))
+        blocks = res._elem_weight_blocks(gen_weights)
+        kernel = [elem for wt in sorted(blocks)
+                  for elem in res._d_block(degree, blocks[wt])[2]]
+    return res.stages
+
+
+@pytest.mark.parametrize("label,p,J,degree", (
+    ("A2", 3, (), 6), ("B2", 5, (0,), 6), ("B2", 5, (1,), 6),
+    ("A3", 5, (0, 1), 5)))
+def test_single_pass_matches_two_passes(label, p, J, degree):
+    alg = build_algebra(J, p, build(label))
+    expected = _two_pass_stages(alg, degree)
+    got = MinimalResolution(alg, degree).stages
+    assert [st.gen_weights for st in got] == \
+        [st.gen_weights for st in expected]
+    assert [[list(e.items()) for e in st.differential] for st in got] == \
+        [[list(e.items()) for e in st.differential] for st in expected]
