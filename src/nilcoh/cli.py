@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Every subcommand prints a payload to stdout (JSON by default) whose header
-echoes the parsed configuration.  Exit codes: 0 success, 2 precondition or
-gate failure (the violated condition is named on stderr), 1 internal error.
+echoes the parsed configuration.  Each subcommand (each `verify` search on
+its own) declares only the flags it reads, listed in COMMANDS; any
+other flag is a usage error.  Exit codes: 0 success, 2 usage error,
+precondition or gate failure (the violated condition or flag is named on
+stderr), 1 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .kostant import (frobenius_kernel_character, kostant_decomposition,
 from .koszul import OracleBudgetError, oracle_cohomology
 from .restricted import (BudgetError, build_algebra, certificate, ext_dims,
                          square_certificate)
-from .ring import CohomologyRing, check_ring_laws, square_free_basis
+from .ring import (CohomologyRing, check_ring_laws, defining_relations_hold,
+                   square_free_basis, straightening_confluent)
 from .rootsystem import UnsupportedTypeError, build
 from .verify import (consistency_suite, search_dot_collisions,
                      search_levi_weights, search_sum_dot)
@@ -72,12 +76,8 @@ def _parse_lambda(args, rank: int, required: bool = False) -> tuple:
 
 def _config_dict(args) -> dict:
     keys = ("command", "type", "p", "l", "J", "lam", "max_degree", "format",
-            "unsafe", "mode", "domain", "check_square")
-    out = {}
-    for k in keys:
-        if hasattr(args, k):
-            out[k] = getattr(args, k)
-    return out
+            "unsafe", "domain", "check_square")
+    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
 def _emit(payload: dict, args):
@@ -132,30 +132,71 @@ def _emit_text(payload):
         print(f"{key}: {json.dumps(val, sort_keys=True)}")
 
 
-def _add_common(sp, need_lambda=False):
+# add_argument keywords of each optional flag
+FLAG_SPECS = {
+    "p": dict(type=int, help="prime modulus"),
+    "l": dict(type=int, help="quantum root-of-unity order"),
+    "J": dict(default="", help="comma-separated 0-based simple root indices"),
+    "lambda": dict(dest="lam", help="weight in fundamental coordinates,"
+                   " comma-separated; alcove and linkage require it, the"
+                   " other commands default to the zero weight"),
+    "max-degree": dict(type=int, default=4, help="top cohomological degree"),
+    "unsafe": dict(action="store_true",
+                   help="compute formal models below the stated bounds"),
+    "which": dict(choices=("frobenius", "parabolic", "t1"),
+                  default="frobenius"),
+    "field": dict(choices=("Q", "Fp"), default="Fp"),
+    "check-square": dict(action="store_true", help="certify the square of"
+                         " the distinguished H^2 class"),
+    "domain": dict(choices=("ZPhi", "X"), default="ZPhi"),
+}
+
+# Each command's help and the flags it reads besides --type and --format
+# (None for `verify`, which only groups the searches); argparse rejects any
+# other flag with exit 2.  A command that declares --lambda also declares
+# --l, so --l is never taken as an abbreviation of --lambda.
+COMMANDS = {
+    "rootsys": ("root system data", ()),
+    "weyl": ("Weyl group data", ("J",)),
+    "alcove": ("bottom-alcove membership", ("p", "l", "lambda")),
+    "linkage": ("weak linkage datum", ("p", "l", "lambda")),
+    "kostant": ("nilradical cohomology decomposition",
+                ("p", "l", "J", "lambda")),
+    "character": ("Frobenius-kernel / parabolic / torus characters",
+                  ("p", "l", "J", "lambda", "max-degree", "which")),
+    "ring-table": ("exterior multiplication table", ("p", "l", "J", "unsafe")),
+    "quantum": ("quantum exterior algebra checks", ("l",)),
+    "oracle-koszul": ("brute-force cohomology oracle", ("p", "J", "field")),
+    "ext": ("restricted Ext via minimal resolution",
+            ("p", "J", "max-degree", "check-square")),
+    "verify": ("exhaustive lemma searches", None),
+    "verify sum-dot": ("w1.0 + w2.0 = w3.0 + modulus*sigma over W^3",
+                       ("p", "l")),
+    "verify levi-weights": ("mu1 + mu2 = mu3 + modulus*sigma on Levi"
+                            " support weights", ("p", "l", "J")),
+    "verify dot-collisions": ("w1.lam = w2.lam + modulus*sigma over W^2",
+                              ("p", "l", "lambda", "domain")),
+    "verify suite": ("cross-module consistency checks at a prime p", ("p",)),
+}
+
+
+def _add_common(sp, flags):
     sp.add_argument("--type", required=True, help="Cartan type, e.g. B2")
-    sp.add_argument("--p", type=int, default=None, help="prime modulus")
-    sp.add_argument("--l", type=int, default=None,
-                    help="quantum root-of-unity order")
-    sp.add_argument("--J", default="",
-                    help="comma-separated 0-based simple root indices")
-    if need_lambda:
-        sp.add_argument("--lambda", dest="lam", default=None,
-                        help="fundamental coordinates, comma-separated"
-                             " (alcove, linkage: required; else default 0)")
-    sp.add_argument("--max-degree", dest="max_degree", type=int, default=4)
+    for name in flags:
+        sp.add_argument(f"--{name}", **FLAG_SPECS[name])
     sp.add_argument("--format", choices=FORMATS, default="json")
-    sp.add_argument("--unsafe", action="store_true",
-                    help="compute formal models below the stated bounds")
 
 
 def _mode_modulus(args):
-    if args.l is not None:
-        mode, flag, modulus = "quantum", "--l", args.l
+    l = getattr(args, "l", None)  # `verify suite` has no --l
+    if l is not None:
+        mode, flag, modulus = "quantum", "--l", l
     elif args.p is not None:
         mode, flag, modulus = "modular", "--p", args.p
-    else:
+    elif hasattr(args, "l"):
         raise PreconditionError("specify --p (modular) or --l (quantum)")
+    else:
+        raise PreconditionError("verify suite needs --p")
     if modulus < 2:
         raise PreconditionError(f"{flag} must be at least 2, got {modulus}")
     return mode, modulus
@@ -166,49 +207,14 @@ def build_parser():
         prog="nilcoh",
         description="Exact cohomology computations for nilpotent radicals,"
                     " their Frobenius kernels, and quantum analogs.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("rootsys", help="root system data")
-    _add_common(sp)
-
-    sp = sub.add_parser("weyl", help="Weyl group data")
-    _add_common(sp)
-
-    sp = sub.add_parser("alcove", help="bottom-alcove membership")
-    _add_common(sp, need_lambda=True)
-
-    sp = sub.add_parser("linkage", help="weak linkage datum")
-    _add_common(sp, need_lambda=True)
-
-    sp = sub.add_parser("kostant", help="nilradical cohomology decomposition")
-    _add_common(sp, need_lambda=True)
-
-    sp = sub.add_parser("character",
-                        help="Frobenius-kernel / parabolic / torus characters")
-    _add_common(sp, need_lambda=True)
-    sp.add_argument("--which", choices=("frobenius", "parabolic", "t1"),
-                    default="frobenius")
-
-    sp = sub.add_parser("ring-table", help="exterior multiplication table")
-    _add_common(sp)
-
-    sp = sub.add_parser("quantum", help="quantum exterior algebra checks")
-    _add_common(sp)
-
-    sp = sub.add_parser("oracle-koszul", help="brute-force cohomology oracle")
-    _add_common(sp)
-    sp.add_argument("--field", choices=("Q", "Fp"), default="Fp")
-
-    sp = sub.add_parser("ext", help="restricted Ext via minimal resolution")
-    _add_common(sp)
-    sp.add_argument("--check-square", dest="check_square", action="store_true",
-                    help="certify the square of the distinguished H^2 class")
-
-    sp = sub.add_parser("verify", help="exhaustive lemma searches")
-    sp.add_argument("search", choices=("sum-dot", "levi-weights",
-                                       "dot-collisions", "suite"))
-    _add_common(sp, need_lambda=True)
-    sp.add_argument("--domain", choices=("ZPhi", "X"), default="ZPhi")
+    groups = {"": ap.add_subparsers(dest="command", required=True)}
+    for command, (text, flags) in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        sp = groups[group].add_parser(name, help=text)
+        if flags is None:
+            groups[command] = sp.add_subparsers(dest="search", required=True)
+        else:
+            _add_common(sp, flags)
     return ap
 
 
@@ -262,7 +268,7 @@ def _run(args) -> dict:
         kd = kostant_decomposition(lam, J, rs, group, mode, modulus)
         out = kd.to_json()
         out["dims"] = kd.poincare()
-        out["poincare"] = format_poincare(kd.poincare())
+        out["poincare"] = format_poincare(out["dims"])
         return out
 
     if cmd == "character":
@@ -297,7 +303,6 @@ def _run(args) -> dict:
     if cmd == "quantum":
         if args.l is None:
             raise PreconditionError("quantum checks need --l")
-        from .ring import defining_relations_hold, straightening_confluent
         profile, passed = admissibility(args.l, rs, "base")
         if not passed:
             raise PreconditionError(

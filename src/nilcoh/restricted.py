@@ -153,9 +153,6 @@ class RestrictedAlgebra:
                     out[t] = (out.get(t, 0) + ca * cb * c) % self.p
         return {t: c for t, c in out.items() if c}
 
-    def augmentation(self, x: dict) -> int:
-        return x.get((0,) * self.n, 0) % self.p
-
 
 def build_algebra(J, p: int, rs: RootSystem,
                   dim_budget: int = DEFAULT_DIM_BUDGET) -> RestrictedAlgebra:
@@ -197,14 +194,13 @@ class MinimalResolution:
                 blocks.setdefault(wt, []).append((s, mono))
         return blocks
 
-    def _apply_diff(self, stage_idx: int, elem: dict) -> dict:
-        """Differential of an element of stage stage_idx (>=1)."""
+    def _apply(self, images, elem: dict) -> dict:
+        """sum c x^mono images[s] over the terms c (s, mono) of elem: with a
+        stage's differential as `images`, d of an element of that stage."""
         alg = self.alg
-        diff = self.stages[stage_idx].differential
         out: dict = {}
         for (s, mono), c in elem.items():
-            target = diff[s]
-            for (t, m2), c2 in target.items():
+            for (t, m2), c2 in images[s].items():
                 for m3, c3 in alg.mult_mono(mono, m2).items():
                     key = (t, m3)
                     out[key] = (out.get(key, 0) + c * c2 * c3) % alg.p
@@ -217,10 +213,11 @@ class MinimalResolution:
         elements whose images it kept, and the kernel basis: for each other
         b, {b: 1} - sum c * kept[i] where add(d b) returned {i: c}."""
         p = self.alg.p
+        diff = self.stages[degree].differential
         span = Span(p)
         kept, kernel = [], []
         for b in dom:
-            comb = span.add(self._apply_diff(degree, {b: 1}))
+            comb = span.add(self._apply(diff, {b: 1}))
             if comb is None:
                 kept.append(b)
             else:
@@ -358,10 +355,10 @@ class MinimalResolution:
     def check_complex(self) -> bool:
         """d_{n-1} o d_n = 0 on every generator."""
         for degree in range(2, len(self.stages)):
-            for s in range(len(self.stages[degree].gen_weights)):
-                img = self._apply_diff(degree, {(s, (0,) * self.alg.n): 1})
-                if self._apply_diff(degree - 1, img):
-                    return False
+            below = self.stages[degree - 1].differential
+            if any(self._apply(below, img)
+                   for img in self.stages[degree].differential):
+                return False
         return True
 
 
@@ -442,14 +439,7 @@ def yoneda_product(res: MinimalResolution, z1, z2):
         maps = []
         for s, swt in enumerate(src.gen_weights):
             # rhs = g_{k-1}(d_{d2+k}(e_s)), an element of F_{k-1}
-            d_es = res.stages[d2 + k].differential[s]
-            rhs: dict = {}
-            for (t, mono), c in d_es.items():
-                for (u, m2), c2 in chain[k - 1][t].items():
-                    for m3, c3 in alg.mult_mono(mono, m2).items():
-                        key = (u, m3)
-                        rhs[key] = (rhs.get(key, 0) + c * c2 * c3) % p
-            rhs = {key: v for key, v in rhs.items() if v}
+            rhs = res._apply(chain[k - 1], src.differential[s])
             # solve d_k(x) = rhs with x in the weight block of F_k at
             # weight swt - weight(e_{g2idx})
             wt = tuple(a - b for a, b in
