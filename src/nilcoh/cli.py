@@ -202,8 +202,31 @@ def _mode_modulus(args):
     return mode, modulus
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that, on a command that only groups subcommands
+    (`nilcoh` itself and `verify`), rejects a flag given before the
+    subcommand name with a message saying that flags go after it."""
+
+    subcommands = None
+
+    def add_subparsers(self, **kwargs):
+        self.subcommands = super().add_subparsers(**kwargs)
+        return self.subcommands
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        sub = self.subcommands
+        if (sub is not None and args and args[0].startswith("-")
+                and args[0] not in ("-h", "--help")):
+            name = next((a for a in args if a in sub.choices), None)
+            rest = " ".join(a for a in args if a != name)
+            self.error(f"flags go after the {sub.dest} name, e.g. "
+                       f"'{self.prog} {name or sub.dest.upper()} {rest}'")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nilcoh",
         description="Exact cohomology computations for nilpotent radicals,"
                     " their Frobenius kernels, and quantum analogs.")

@@ -10,6 +10,14 @@ height, in the manner of R. Bruner, "Calculation of large Ext modules"
 (1989): at each weight the images d(a g) of the basis elements above
 generators of lower weight are computed once, and give both the next
 kernel and the span of A_+K from which the new generators are chosen.
+
+Each image is derived from one a step lower, as in Bruner's scheme: with h
+the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
+d(x^a g) = x_h d(x^(a - e_h) g).  The lower image has a weight of smaller
+height, so it sits in a memo that lives for one stage, and the build only
+multiplies by single generators (`mult_gen`).  `mult_mono` and `multiply`
+stay as the independent reference: `check_complex` reads d^2 = 0 through
+them, so the check and the build multiply by two different paths.
 """
 
 from __future__ import annotations
@@ -196,7 +204,9 @@ class MinimalResolution:
 
     def _apply(self, images, elem: dict) -> dict:
         """sum c x^mono images[s] over the terms c (s, mono) of elem: with a
-        stage's differential as `images`, d of an element of that stage."""
+        stage's differential as `images`, d of an element of that stage.
+        Each x^mono images[s] is formed by `mult_mono`, independently of
+        `_image`; `check_complex` reads d^2 = 0 through this path."""
         alg = self.alg
         out: dict = {}
         for (s, mono), c in elem.items():
@@ -206,18 +216,47 @@ class MinimalResolution:
                     out[key] = (out.get(key, 0) + c * c2 * c3) % alg.p
         return {k: v for k, v in out.items() if v}
 
-    def _d_block(self, degree: int, dom: list):
+    def _image(self, images, memo: dict, s, mono: tuple) -> dict:
+        """x^mono images[s], memoised in `memo` by (s, mono).
+
+        With h the first index where mono_h > 0, x^mono = x_h x^(mono - e_h)
+        in PBW order, so the image is x_h times the image one step lower,
+        which only needs `mult_gen`.  A memo serves one map `images`."""
+        key = (s, mono)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        h = next((k for k, a in enumerate(mono) if a), None)
+        if h is None:
+            return images[s]
+        lower = list(mono)
+        lower[h] -= 1
+        alg = self.alg
+        p, mult_gen = alg.p, alg.mult_gen
+        out = {}
+        for (t, m), c in self._image(images, memo, s, tuple(lower)).items():
+            for m2, c2 in mult_gen(h, m).items():
+                k2 = (t, m2)
+                out[k2] = (out.get(k2, 0) + c * c2) % p
+        out = {k2: c for k2, c in out.items() if c}
+        memo[key] = out
+        return out
+
+    def _d_block(self, degree: int, dom: list, memo: dict | None = None):
         """d_degree on the weight block with basis `dom`.
 
         Adds the image of each b in `dom` to one Span and returns it, the
         elements whose images it kept, and the kernel basis: for each other
-        b, {b: 1} - sum c * kept[i] where add(d b) returned {i: c}."""
+        b, {b: 1} - sum c * kept[i] where add(d b) returned {i: c}.  The
+        images come from `_image` with `memo`, a memo of d_degree images
+        (a new one when None)."""
         p = self.alg.p
         diff = self.stages[degree].differential
+        memo = {} if memo is None else memo
         span = Span(p)
         kept, kernel = [], []
         for b in dom:
-            comb = span.add(self._apply(diff, {b: 1}))
+            comb = span.add(self._image(diff, memo, *b))
             if comb is None:
                 kept.append(b)
             else:
@@ -255,6 +294,7 @@ class MinimalResolution:
         # provisional stage through which `_d_block` reads their images
         diff: dict[tuple, dict] = {}
         self.stages.append(ResolutionStage(degree, [], diff))
+        images: dict = {}  # memo of d(a g) for this stage only
         found: dict[tuple, int] = {}         # weight -> generators there
         below: dict[tuple, set] = {}         # weight -> generator weights below
         monos = _augmentation_monomials(alg)  # weight -> non-unit monomials
@@ -272,7 +312,7 @@ class MinimalResolution:
                 block = [((w, j), a) for w in sorted(below.get(wt, ()))
                          for j in range(found[w])
                          for a in monos[tuple(x - y for x, y in zip(wt, w))]]
-                span, _, ker = self._d_block(degree, block)
+                span, _, ker = self._d_block(degree, block, images)
                 if ker:
                     next_kernel[wt] = ker
                 span.drop_combinations()
@@ -436,16 +476,23 @@ def yoneda_product(res: MinimalResolution, z1, z2):
         src = res.stages[d2 + k]
         tgt_blocks = res._elem_weight_blocks(res.stages[k].gen_weights)
         d_blocks: dict = {}  # weight -> (span of d_k images, kept elements)
+        d_images: dict = {}  # memo of d_k(a e_t), for this k only
+        g_images: dict = {}  # memo of a g_{k-1}(e_t), for this k only
         maps = []
         for s, swt in enumerate(src.gen_weights):
             # rhs = g_{k-1}(d_{d2+k}(e_s)), an element of F_{k-1}
-            rhs = res._apply(chain[k - 1], src.differential[s])
+            rhs: dict = {}
+            for (t, mono), c in src.differential[s].items():
+                for key, c2 in res._image(chain[k - 1], g_images,
+                                          t, mono).items():
+                    rhs[key] = (rhs.get(key, 0) + c * c2) % p
             # solve d_k(x) = rhs with x in the weight block of F_k at
             # weight swt - weight(e_{g2idx})
             wt = tuple(a - b for a, b in
                        zip(swt, res.stages[d2].gen_weights[g2idx]))
             if wt not in d_blocks:
-                d_blocks[wt] = res._d_block(k, tgt_blocks.get(wt, []))[:2]
+                d_blocks[wt] = res._d_block(k, tgt_blocks.get(wt, []),
+                                            d_images)[:2]
             span, kept = d_blocks[wt]
             sol = span.express(rhs)
             if sol is None:

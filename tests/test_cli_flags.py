@@ -143,9 +143,22 @@ def test_verify_suite_without_p_names_p(capsys):
 
 
 def test_flags_before_the_search_are_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--type", "B2", "sum-dot"])
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    """The message says where the flags go; it used to be only
+    `argument search: invalid choice: 'B2'`."""
+    for argv, hint in [
+        (["verify", "--type", "B2", "sum-dot"], "flags go after the search"
+         " name, e.g. 'nilcoh verify sum-dot --type B2'"),
+        (["verify", "--type", "B2", "--p", "5"], "flags go after the search"
+         " name, e.g. 'nilcoh verify SEARCH --type B2 --p 5'"),
+        (["--type", "B2", "ext", "--p", "5"], "flags go after the command"
+         " name, e.g. 'nilcoh ext --type B2 --p 5'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert hint in captured.err
+        assert "invalid choice" not in captured.err
 
 
 # -- parser drift guard ------------------------------------------------

@@ -1,14 +1,19 @@
+import gc
+import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcoh.alcoves import PreconditionError
 from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
-                               ResolutionStage, alg_monomials, build_algebra,
-                               ext_dims, find_class_by_weight,
-                               square_certificate, yoneda_product)
+                               ResolutionStage, RestrictedAlgebra,
+                               alg_monomials, build_algebra, ext_dims,
+                               find_class_by_weight, square_certificate,
+                               yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -187,3 +192,69 @@ def test_single_pass_matches_two_passes(label, p, J, degree):
         [st.gen_weights for st in expected]
     assert [[list(e.items()) for e in st.differential] for st in got] == \
         [[list(e.items()) for e in st.differential] for st in expected]
+
+
+# -- images by left multiplication ---------------------------------------
+
+
+TWO_PATH_CASES = (("A2", 3, ()), ("A2", 3, (0,)), ("B2", 5, ()),
+                  ("B2", 5, (0,)), ("A3", 3, (1,)))
+
+
+@pytest.fixture(scope="module")
+def resolutions():
+    """Each case's resolution through degree 3, with one image memo per
+    stage shared by all examples."""
+    out = {}
+    for label, p, J in TWO_PATH_CASES:
+        res = MinimalResolution(build_algebra(J, p, build(label)), 3)
+        out[label, p, J] = res, [{} for _ in res.stages]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(TWO_PATH_CASES), data=st.data())
+def test_memoised_image_matches_mult_mono(resolutions, case, data):
+    """d(x^a g) from `_image` (x_h times the image one step lower) equals
+    sum c mult_mono(a, m) (t, m) over the terms c (t, m) of d(g)."""
+    res, memos = resolutions[case]
+    alg = res.alg
+    degree = data.draw(st.integers(1, res.max_degree))
+    diff = res.stages[degree].differential
+    g = data.draw(st.integers(0, len(diff) - 1))
+    a = tuple(data.draw(st.lists(st.integers(0, alg.p - 1),
+                                 min_size=alg.n, max_size=alg.n)))
+    expected: dict = {}
+    for (t, m), c in diff[g].items():
+        for m3, c3 in alg.mult_mono(a, m).items():
+            expected[(t, m3)] = (expected.get((t, m3), 0) + c * c3) % alg.p
+    expected = {k: v for k, v in expected.items() if v}
+    assert res._image(diff, {}, g, a) == expected
+    assert res._image(diff, memos[degree], g, a) == expected
+
+
+def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
+    """The resolution multiplies by `mult_gen` alone, and each stage's
+    image memo is unreachable once the build ends."""
+    calls = []
+    mult_mono = RestrictedAlgebra.mult_mono
+    monkeypatch.setattr(RestrictedAlgebra, "mult_mono",
+                        lambda *args: calls.append(args) or mult_mono(*args))
+    memos = {}
+    image = MinimalResolution._image
+
+    def recording(self, images, memo, s, mono):
+        memos[id(memo)] = memo
+        return image(self, images, memo, s, mono)
+
+    monkeypatch.setattr(MinimalResolution, "_image", recording)
+    alg = build_algebra((), 5, build("B2"))
+    res = MinimalResolution(alg, 4)
+    assert res.betti() == [1, 2, 6, 10, 19]
+    assert calls == [] and alg._mono_cache == {}
+    assert len(memos) == 3  # stages 1-3; the top stage forms no images
+    for memo in memos.values():
+        assert memo
+        holders = [r for r in gc.get_referrers(memo)
+                   if r is not memos and not inspect.isframe(r)]
+        assert holders == []
