@@ -24,7 +24,7 @@ from .kostant import (frobenius_kernel_character, kostant_decomposition,
                       parabolic_character, t1_invariants)
 from .koszul import OracleBudgetError, oracle_cohomology
 from .restricted import (BudgetError, build_algebra, certificate, ext_dims,
-                         square_certificate)
+                         find_class_by_weight, square_certificate)
 from .ring import (CohomologyRing, check_ring_laws, defining_relations_hold,
                    square_free_basis, straightening_confluent)
 from .rootsystem import UnsupportedTypeError, build
@@ -361,6 +361,12 @@ def _run(args) -> dict:
         if args.check_square:
             sb_sa = group.multiply(group.simple[1], group.simple[0])
             wt = sb_sa.dot((0,) * rs.rank, rs)
+            found = len(find_class_by_weight(res, 2, wt))
+            if found != 1:
+                raise PreconditionError(
+                    "--check-square needs the Ext^2 weight space at"
+                    f" s2 s1 . 0 = {list(wt)} to be one-dimensional, found"
+                    f" {found} classes")
             example = square_certificate(res, 2, wt)
         return certificate(alg, res, example)
 

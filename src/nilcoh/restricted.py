@@ -15,7 +15,11 @@ Each image is derived from one a step lower, as in Bruner's scheme: with h
 the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
 d(x^a g) = x_h d(x^(a - e_h) g).  The lower image has a weight of smaller
 height, so it sits in a memo that lives for one stage, and the build only
-multiplies by single generators (`mult_gen`).  `mult_mono` and `multiply`
+multiplies by single generators (`mult_gen`).  An image at weight w is read
+only by images at w + gamma for a nilradical root gamma, and weights leave
+the heap in order of height, so the memo drops it once the height passes
+height(w) + reach, reach the largest height of such a gamma: no later
+weight can read it, and no image is built twice.  `mult_mono` and `multiply`
 stay as the independent reference: `check_complex` reads d^2 = 0 through
 them, so the check and the build multiply by two different paths.
 """
@@ -23,6 +27,7 @@ them, so the check and the build multiply by two different paths.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
@@ -189,6 +194,9 @@ class MinimalResolution:
         self.max_degree = max_degree
         self.stages: list[ResolutionStage] = []
         self._build()
+        # lifting degree -> what `yoneda_product` reads there; filled by
+        # the first product that lifts through that degree
+        self._liftings: dict[int, tuple] = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -265,6 +273,17 @@ class MinimalResolution:
                 kernel.append(elem)
         return span, kept, kernel
 
+    def _lifting(self, k: int):
+        """(basis of F_k by weight, memo of d_k images, weight -> (span of
+        the d_k images of that block, the elements it kept)).  None of it
+        depends on the classes multiplied, so every Yoneda product on this
+        resolution shares it; the spans fill in as products reach them."""
+        lifting = self._liftings.get(k)
+        if lifting is None:
+            lifting = self._liftings[k] = (
+                self._elem_weight_blocks(self.stages[k].gen_weights), {}, {})
+        return lifting
+
     def _build(self):
         alg = self.alg
         self.stages.append(ResolutionStage(0, [(0,) * alg.rs.rank], []))
@@ -299,12 +318,20 @@ class MinimalResolution:
         below: dict[tuple, set] = {}         # weight -> generator weights below
         monos = _augmentation_monomials(alg)  # weight -> non-unit monomials
         form = _height_form(alg.rs)
+        # an image at weight w is read only by images at w + gamma, so it
+        # leaves the memo once the heap passes height(w) + reach
+        reach = max((sum(map(mul, form, f)) for f in alg._root_fund),
+                    default=0)
+        done: deque = deque()  # (height, block) of each weight done
         heap = [(sum(map(mul, form, wt)), wt) for wt in kernel]
         heapq.heapify(heap)
         queued = set(kernel)
         next_kernel: dict[tuple, list] = {}
         while heap:
-            _, wt = heapq.heappop(heap)
+            height, wt = heapq.heappop(heap)
+            while done and done[0][0] + reach < height:
+                for key in done.popleft()[1]:
+                    del images[key]
             if top:
                 span = self._augmented_span(kernel, wt)
                 elems = kernel[wt]
@@ -313,6 +340,7 @@ class MinimalResolution:
                          for j in range(found[w])
                          for a in monos[tuple(x - y for x, y in zip(wt, w))]]
                 span, _, ker = self._d_block(degree, block, images)
+                done.append((height, block))
                 if ker:
                     next_kernel[wt] = ker
                 span.drop_combinations()
@@ -474,10 +502,8 @@ def yoneda_product(res: MinimalResolution, z1, z2):
                 for s in range(len(res.stages[d2].gen_weights))]
     for k in range(1, d1 + 1):
         src = res.stages[d2 + k]
-        tgt_blocks = res._elem_weight_blocks(res.stages[k].gen_weights)
-        d_blocks: dict = {}  # weight -> (span of d_k images, kept elements)
-        d_images: dict = {}  # memo of d_k(a e_t), for this k only
-        g_images: dict = {}  # memo of a g_{k-1}(e_t), for this k only
+        tgt_blocks, d_images, d_blocks = res._lifting(k)
+        g_images: dict = {}  # memo of a g_{k-1}(e_t), for this call and k
         maps = []
         for s, swt in enumerate(src.gen_weights):
             # rhs = g_{k-1}(d_{d2+k}(e_s)), an element of F_{k-1}

@@ -12,7 +12,6 @@ signs depend on.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -42,6 +41,10 @@ class Violation:
 
 
 def _cartan_hash(rs: RootSystem) -> str:
+    # imported here, its one use: hashlib loads OpenSSL's libcrypto (about
+    # 3 MB of resident memory), which the commands that certify nothing by
+    # hash, such as `ext`, need not pay for
+    import hashlib
     payload = json.dumps({"cartan": rs.cartan,
                           "order": [list(g) for g in rs.positive_roots]},
                          sort_keys=True)

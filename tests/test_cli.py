@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nilcoh.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +214,32 @@ def test_exit_code_2_on_check_square_below_degree_4(capsys, degree):
     _assert_input_error(capsys, ("ext", "--type", "B2", "--p", "5",
                                  "--max-degree", degree, "--check-square"),
                         "--check-square needs --max-degree >= 4")
+
+
+def test_exit_code_2_on_check_square_without_one_class(capsys):
+    # the nilradical of J = {0, 1} is zero, so Ext^2 is zero everywhere
+    _assert_input_error(capsys, ("ext", "--type", "B2", "--p", "5",
+                                 "--J", "0,1", "--max-degree", "4",
+                                 "--check-square"),
+                        "--check-square needs the Ext^2 weight space at"
+                        " s2 s1 . 0 = [1, -4] to be one-dimensional, found"
+                        " 0 classes")
+
+
+def test_ext_does_not_load_openssl(tmp_path):
+    """`ext` hashes nothing, so it never imports hashlib, whose `_hashlib`
+    loads OpenSSL's libcrypto into the process."""
+    script = ("import sys\n"
+              "from nilcoh.cli import main\n"
+              "code = main(['ext', '--type', 'A2', '--p', '3',"
+              " '--max-degree', '2'])\n"
+              "sys.stderr.write(repr((code, '_hashlib' in sys.modules)))\n")
+    env = dict(os.environ, NILCOH_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.stderr.decode().splitlines()[-1] == "(0, False)"
 
 
 def test_kostant_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch):

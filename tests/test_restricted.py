@@ -1,6 +1,8 @@
+import copy
 import gc
 import inspect
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,9 @@ from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
-                               alg_monomials, build_algebra, ext_dims,
-                               find_class_by_weight, square_certificate,
-                               yoneda_product)
+                               _height_form, alg_monomials, build_algebra,
+                               ext_dims, find_class_by_weight,
+                               square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -129,6 +131,24 @@ def test_yoneda_graded_commutative(b2_p5):
         for j in range(n2):
             assert yoneda_product(res, (1, i), (2, j)) == \
                 yoneda_product(res, (2, j), (1, i))
+
+
+def test_yoneda_products_on_one_resolution_match_fresh_ones(b2_p5):
+    """Products on one resolution, which share its lifting spans and image
+    memos, equal the same products each lifted from scratch."""
+    res = copy.copy(b2_p5[4])
+    res._liftings = {}
+    counts = [len(st.gen_weights) for st in res.stages]
+    pairs = [((a, i), (b, j)) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2))
+             for i in range(counts[a]) for j in range(counts[b])]
+    shared = [yoneda_product(res, z1, z2) for z1, z2 in pairs]
+    fresh = []
+    for z1, z2 in pairs:
+        alone = copy.copy(res)
+        alone._liftings = {}
+        fresh.append(yoneda_product(alone, z1, z2))
+    assert shared == fresh
+    assert any(shared)
 
 
 def test_find_class_by_weight():
@@ -258,3 +278,43 @@ def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
         holders = [r for r in gc.get_referrers(memo)
                    if r is not memos and not inspect.isframe(r)]
         assert holders == []
+
+
+@pytest.mark.parametrize("label,p,degree", (("B2", 5, 4), ("A2", 3, 6)))
+def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
+                                                       p, degree):
+    """An image at weight w is read only at w + gamma, so when `_stage`
+    hands a weight to `_d_block` its memo holds no image more than
+    `reach` (the largest height of a nilradical root) below that weight;
+    and no image is dropped before its last reader: the memo misses equal
+    the block elements, so each image is built once."""
+    alg = build_algebra((), p, build(label))
+    form = _height_form(alg.rs)
+
+    def height(wt):
+        return sum(map(mul, form, wt))
+
+    reach = max(height(f) for f in alg._root_fund)
+    mono_height = {m: height(w) for m, w in alg_monomials(alg).items()}
+    depths, elements, misses = [], [0], [0]
+    d_block, image = MinimalResolution._d_block, MinimalResolution._image
+
+    def recording_d_block(self, deg, dom, memo=None):
+        if dom:
+            (w, _), mono = dom[0]
+            top = height(w) + mono_height[mono]
+            depths.extend(top - height(v) - mono_height[m]
+                          for (v, _), m in memo)
+            elements[0] += len(dom)
+        return d_block(self, deg, dom, memo)
+
+    def recording_image(self, images, memo, s, mono):
+        if any(mono) and (s, mono) not in memo:
+            misses[0] += 1
+        return image(self, images, memo, s, mono)
+
+    monkeypatch.setattr(MinimalResolution, "_d_block", recording_d_block)
+    monkeypatch.setattr(MinimalResolution, "_image", recording_image)
+    MinimalResolution(alg, degree)
+    assert depths and max(depths) <= reach
+    assert misses[0] == elements[0] > 0
