@@ -6,8 +6,8 @@ and independent brute-force verification, all in exact arithmetic."""
 __version__ = "1.0.0"  # set before the submodules import it
 
 from .alcoves import (AdmissibilityProfile, LinkageDatum, PreconditionError,
-                      admissibility, in_alcove, j_restricted,
-                      require_admissible, weak_linkage)
+                      RegimeError, admissibility, in_alcove, j_restricted,
+                      require_admissible, require_regime, weak_linkage)
 from .characters import (FormalCharacter, GradedCharacter, euler_induction,
                          format_poincare, frobenius_twist,
                          levi_simple_character, symmetric_character,

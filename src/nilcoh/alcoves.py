@@ -3,16 +3,45 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .rootsystem import RootSystem
 from .weyl import WeylElement, WeylGroup
 
-CONTEXTS = ("base", "weight-separation", "kostant", "ring")
+# The AdmissibilityProfile flags an l-th root of unity needs in each context.
+ADMISSIBLE = {
+    "base": ("odd", "base_coprime"),
+    "weight-separation": ("odd", "base_coprime", "coprime_type_conditions"),
+    "kostant": ("odd", "base_coprime", "ge_hminus1"),
+    "ring": ("odd", "base_coprime", "coprime_type_conditions", "gt_2hminus2"),
+}
+CONTEXTS = tuple(ADMISSIBLE)
+
+# Bounds on the modulus beyond primality and the flags: (mode, context) ->
+# (bound from h and J, whether the modulus must exceed it or may reach it,
+# message).  "ext" compares the restricted Ext with the bigraded character.
+BOUNDS = {
+    ("modular", "kostant"): (lambda h, J: h - 1, False,
+                             "modular mode requires p >= h-1 = {bound}"),
+    ("modular", "ring"): (lambda h, J: 3 * (h - 1) if J else 2 * (h - 1), True,
+                          "classical ring model requires p > {bound} (got"
+                          " {modulus}); pass unsafe to study the formal model"),
+    ("modular", "ext"): (lambda h, J: h, True, "Ext check needs p > h = {bound}"),
+    ("quantum", "weight-separation"): (lambda h, J: h, True,
+                                       "quantum mode requires l > h = {bound}"),
+}
 
 
 class PreconditionError(ValueError):
     """A stated precondition (alcove membership, modulus bound, gate) failed."""
+
+
+class RegimeError(PreconditionError):
+    """A missed admissibility flag or BOUNDS entry (a caller may waive it)."""
+
+    def __init__(self, message: str, bound: int | None = None):
+        super().__init__(message)
+        self.bound = bound
 
 
 def require_prime(p, what: str) -> None:
@@ -44,10 +73,7 @@ class AdmissibilityProfile:
     base_coprime: bool
 
     def flags(self) -> dict:
-        return {"odd": self.odd, "gt_h": self.gt_h, "ge_hminus1": self.ge_hminus1,
-                "gt_2hminus2": self.gt_2hminus2,
-                "coprime_type_conditions": self.coprime_type_conditions,
-                "base_coprime": self.base_coprime}
+        return {k: v for k, v in asdict(self).items() if k != "modulus"}
 
 
 def in_alcove(lam: tuple, p: int, rs: RootSystem, closed: bool = False) -> bool:
@@ -131,23 +157,39 @@ def admissibility(ell: int, rs: RootSystem, context: str):
         coprime_type_conditions=coprime,
         base_coprime=base_coprime,
     )
-    if context == "base":
-        passed = profile.odd and profile.base_coprime
-    elif context == "weight-separation":
-        passed = profile.odd and profile.base_coprime and profile.coprime_type_conditions
-    elif context == "kostant":
-        passed = profile.odd and profile.base_coprime and profile.ge_hminus1
-    else:  # ring
-        passed = (profile.odd and profile.base_coprime
-                  and profile.coprime_type_conditions and profile.gt_2hminus2)
-    return profile, passed
+    return profile, all(getattr(profile, flag) for flag in ADMISSIBLE[context])
 
 
 def require_admissible(ell: int, rs: RootSystem, context: str) -> AdmissibilityProfile:
     profile, passed = admissibility(ell, rs, context)
     if not passed:
         failing = [k for k, v in profile.flags().items() if not v]
-        raise PreconditionError(
+        raise RegimeError(
             f"l={ell} fails admissibility for context {context!r} on {rs.label}"
             f" (violated flags: {', '.join(failing) or 'context requirement'})")
     return profile
+
+
+def require_regime(mode: str, modulus, rs: RootSystem, context=None, J=()):
+    """The one gate on (mode, modulus) for a result stated in `context`
+    (none: the modulus alone).  modular: p prime, then the BOUNDS entry;
+    quantum: l >= 1, then the ADMISSIBLE flags and the BOUNDS entry;
+    classical: nothing.  A missed flag or bound raises RegimeError."""
+    if mode == "modular":
+        if modulus is None or modulus < 2:
+            raise PreconditionError("modular mode needs a modulus p >= 2")
+        require_prime(modulus, "modular mode")
+    elif mode == "quantum":
+        if modulus is None or modulus < 1:
+            raise PreconditionError("quantum mode needs a modulus l >= 1")
+        if context is not None:
+            require_admissible(modulus, rs, context)
+    elif mode != "classical":
+        raise ValueError(f"unknown mode {mode!r}")
+    rule = BOUNDS.get((mode, context))
+    if rule is not None:
+        bound_of, strict, message = rule
+        bound = bound_of(rs.coxeter_number, J)
+        if modulus < bound + strict:
+            raise RegimeError(message.format(bound=bound, modulus=modulus),
+                              bound)

@@ -5,7 +5,7 @@ echoes the parsed configuration.  Each subcommand (each `verify` search on
 its own) declares only the flags it reads, listed in COMMANDS; any
 other flag is a usage error.  Exit codes: 0 success, 2 usage error,
 precondition or gate failure (the violated condition or flag is named on
-stderr), 1 internal error.
+stderr), 1 internal error or a stdout closed early by its reader.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
 from .alcoves import (PreconditionError, admissibility, in_alcove,
-                      weak_linkage)
+                      require_regime, weak_linkage)
 from .characters import format_poincare
 from .kostant import (frobenius_kernel_character, kostant_decomposition,
                       parabolic_character, t1_invariants)
@@ -187,7 +188,7 @@ def _add_common(sp, flags):
     sp.add_argument("--format", choices=FORMATS, default="json")
 
 
-def _mode_modulus(args):
+def _mode_modulus(args, rs):
     l = getattr(args, "l", None)  # `verify suite` has no --l
     if l is not None:
         mode, flag, modulus = "quantum", "--l", l
@@ -199,6 +200,8 @@ def _mode_modulus(args):
         raise PreconditionError("verify suite needs --p")
     if modulus < 2:
         raise PreconditionError(f"{flag} must be at least 2, got {modulus}")
+    if hasattr(args, "l"):  # consistency_suite gates its p under its own name
+        require_regime(mode, modulus, rs)
     return mode, modulus
 
 
@@ -264,7 +267,7 @@ def _run(args) -> dict:
         }
 
     if cmd == "alcove":
-        mode, modulus = _mode_modulus(args)
+        mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank, required=True)
         return {
             "lambda": list(lam),
@@ -273,7 +276,7 @@ def _run(args) -> dict:
         }
 
     if cmd == "linkage":
-        mode, modulus = _mode_modulus(args)
+        mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank, required=True)
         datum = weak_linkage(lam, modulus, rs, group)
         if datum is None:
@@ -286,7 +289,7 @@ def _run(args) -> dict:
         if args.p is None and args.l is None:
             mode, modulus = "classical", None
         else:
-            mode, modulus = _mode_modulus(args)
+            mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank)
         kd = kostant_decomposition(lam, J, rs, group, mode, modulus)
         out = kd.to_json()
@@ -295,7 +298,7 @@ def _run(args) -> dict:
         return out
 
     if cmd == "character":
-        mode, modulus = _mode_modulus(args)
+        mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank)
         if args.which == "frobenius":
             bg = frobenius_kernel_character(lam, J, rs, group, mode, modulus,
@@ -313,9 +316,9 @@ def _run(args) -> dict:
                 "dims": gc.dims()}
 
     if cmd == "ring-table":
-        mode, modulus = _mode_modulus(args)
-        mode = "classical" if args.l is None else "quantum"
-        ring = CohomologyRing(rs, group, J, mode, modulus, unsafe=args.unsafe)
+        mode, modulus = _mode_modulus(args, rs)
+        ring = CohomologyRing(rs, group, J, "classical" if mode == "modular"
+                              else mode, modulus, unsafe=args.unsafe)
         return {
             "metadata": ring.metadata(),
             "laws": check_ring_laws(ring),
@@ -371,7 +374,7 @@ def _run(args) -> dict:
         return certificate(alg, res, example)
 
     if cmd == "verify":
-        mode, modulus = _mode_modulus(args)
+        mode, modulus = _mode_modulus(args, rs)
         if args.search == "sum-dot":
             _, cert = search_sum_dot(rs, group, modulus)
             return cert
@@ -397,12 +400,15 @@ def main(argv=None) -> int:
             GroupTooLargeError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        raise
     except Exception as exc:  # internal error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -11,27 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alcoves import (PreconditionError, in_alcove, require_admissible,
+from .alcoves import (PreconditionError, in_alcove, require_regime,
                       weak_linkage)
 from .characters import (FormalCharacter, GradedCharacter, euler_induction,
                          frobenius_twist, levi_simple_character,
                          symmetric_character)
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
-
-MODES = ("modular", "quantum", "classical")
-
-
-def _check_mode(mode: str, modulus, rs: RootSystem):
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "modular":
-        if modulus is None or modulus < 2:
-            raise PreconditionError("modular mode needs a modulus p >= 2")
-    if mode == "quantum":
-        if modulus is None or modulus < 1:
-            raise PreconditionError("quantum mode needs a modulus l >= 1")
-
 
 @dataclass
 class KostantDecomposition:
@@ -81,17 +67,9 @@ def kostant_decomposition(lam: tuple, J, rs: RootSystem, group: WeylGroup,
                           modulus: int | None = None) -> KostantDecomposition:
     """Decompose H^j(u_J, L(lam)) as a sum of Levi simples L_J(w . lam)."""
     J = tuple(sorted(set(J)))
-    _check_mode(mode, modulus, rs)
-    if mode == "modular":
-        if modulus < rs.coxeter_number - 1:
-            raise PreconditionError(
-                f"modular mode requires p >= h-1 = {rs.coxeter_number - 1}")
-        if not in_alcove(lam, modulus, rs, closed=True):
-            raise PreconditionError("lambda must lie in the closed bottom alcove")
-    elif mode == "quantum":
-        require_admissible(modulus, rs, "kostant")
-        if not in_alcove(lam, modulus, rs, closed=True):
-            raise PreconditionError("lambda must lie in the closed bottom alcove")
+    require_regime(mode, modulus, rs, "kostant")
+    if mode != "classical" and not in_alcove(lam, modulus, rs, closed=True):
+        raise PreconditionError("lambda must lie in the closed bottom alcove")
     entries = []
     for w in group.min_coset_reps(J):
         entries.append((w, w.length, w.dot(lam, rs)))
@@ -142,16 +120,12 @@ def frobenius_kernel_character(lam: tuple, J, rs: RootSystem, group: WeylGroup,
     """Character of H^n((U_J)_1, L(lam)) as twisted symmetric slabs times
     the nilradical cohomology, for n up to max_degree."""
     J = tuple(sorted(set(J)))
-    _check_mode(mode, modulus, rs)
+    require_regime(mode, modulus, rs, "weight-separation")
     if mode == "classical":
         raise PreconditionError("Frobenius kernel character needs a modulus")
     if not (rs.is_dominant(lam) and in_alcove(lam, modulus, rs, closed=False)):
         raise PreconditionError(
             "lambda must lie in the interior bottom alcove and be dominant")
-    if mode == "quantum":
-        profile = require_admissible(modulus, rs, "weight-separation")
-        if not profile.gt_h:
-            raise PreconditionError(f"quantum mode requires l > h = {rs.coxeter_number}")
     uj_roots = rs.nilradical_roots(J)
     reps = group.min_coset_reps(J)
     by_len: dict[int, list] = {}
@@ -193,13 +167,9 @@ def parabolic_character(lam: tuple, J, rs: RootSystem, group: WeylGroup,
     j = l(w) mod 2 and is zero in the other parity.
     """
     J = tuple(sorted(set(J)))
-    _check_mode(mode, modulus, rs)
+    require_regime(mode, modulus, rs, "weight-separation")
     if mode == "classical":
         raise PreconditionError("parabolic character needs a modulus")
-    if mode == "quantum":
-        profile = require_admissible(modulus, rs, "weight-separation")
-        if not profile.gt_h:
-            raise PreconditionError(f"quantum mode requires l > h = {rs.coxeter_number}")
     datum = weak_linkage(lam, modulus, rs, group)
     gc = GradedCharacter()
     for n in range(max_degree + 1):

@@ -213,19 +213,10 @@ class CEComplex:
             rest = subset[:pos_in_s] + subset[pos_in_s + 1:]
             lead_sign = -1 if pos_in_s % 2 else 1
             for (a, b), val in self.d_generator(k).items():
-                if a in rest or b in rest:
-                    continue
-                merged = list(rest)
-                sgn = lead_sign * val
-                # wedge f_a ^ f_b onto f_rest: each insertion into sorted
-                # position past cnt earlier factors flips the sign cnt times
-                for x in (b, a):
-                    cnt = sum(1 for y in merged if y < x)
-                    if cnt % 2:
-                        sgn = -sgn
-                    merged.insert(cnt, x)
-                key = tuple(merged)
-                out[key] = out.get(key, 0) + sgn
+                sgn = merge_sign((a, b), rest)  # f_a ^ f_b ^ f_rest, sorted
+                if sgn:
+                    key = tuple(sorted((a, b, *rest)))
+                    out[key] = out.get(key, 0) + lead_sign * val * sgn
         return {k: v for k, v in out.items() if v}
 
     def d_matrix(self, degree: int):

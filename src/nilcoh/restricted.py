@@ -60,7 +60,6 @@ class RestrictedAlgebra:
             raise BudgetError(
                 f"algebra dimension p^N = {p}^{self.n} exceeds budget {dim_budget}")
         # [x_a, x_b] = c * x_k for nilradical positions a < b, c mod p
-        self.index = {g: k for k, g in enumerate(self.roots)}
         self.bracket = {ab: (k, val % p) for ab, (k, val)
                         in nilradical_constants(rs, self.roots).items()}
         self._check_restricted()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .alcoves import PreconditionError, require_admissible
+from .alcoves import PreconditionError, RegimeError, require_regime
 from .rootsystem import RootSystem
 from .weyl import WeylElement, WeylGroup, mask_bits
 
@@ -72,17 +72,16 @@ class CycScalar:
 
 def merge_sign(left: tuple, right: tuple) -> int:
     """Parity of the permutation sorting the concatenation of two sorted
-    index tuples; 0 if they intersect.  The reference for the sign of
-    mask_scalar, and the sign of koszul.cochain_cup."""
-    if set(left) & set(right):
-        return 0
-    arr = list(left) + list(right)
-    sgn = 1
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i] > arr[j]:
-                sgn = -sgn
-    return sgn
+    index tuples (the passes of a right entry over larger left ones); 0 if
+    they intersect.  The reference for the sign of mask_scalar, and the
+    sign of koszul.cochain_cup and koszul.CEComplex.d_basis_element."""
+    passes = 0
+    for x in left:
+        for y in right:
+            if x == y:
+                return 0
+            passes += x > y
+    return -1 if passes % 2 else 1
 
 
 # ----------------------------------------------------------------------
@@ -236,30 +235,20 @@ class CohomologyRing:
         self.mode = mode
         self.unsafe = bool(unsafe)
         self.formal_only = False
-        h = rs.coxeter_number
-        if mode == "classical":
-            if modulus is None:
-                raise PreconditionError("classical ring model needs a prime p")
-            bound = 2 * (h - 1) if not self.J else 3 * (h - 1)
-            if modulus <= bound:
-                if not unsafe:
-                    raise PreconditionError(
-                        f"classical ring model requires p > {bound}"
-                        f" (got {modulus}); pass unsafe to study the formal model")
-                self.formal_only = True
-            self.ell = 1
-        elif mode == "quantum":
-            if modulus is None:
-                raise PreconditionError("quantum ring model needs a modulus l")
-            try:
-                require_admissible(modulus, rs, "ring")
-            except PreconditionError:
-                if not unsafe:
-                    raise
-                self.formal_only = True
-            self.ell = modulus
-        else:
+        if mode not in ("classical", "quantum"):
             raise ValueError(f"unknown mode {mode!r}")
+        if modulus is None:
+            raise PreconditionError(
+                "classical ring model needs a prime p" if mode == "classical"
+                else "quantum ring model needs a modulus l")
+        try:
+            require_regime("modular" if mode == "classical" else mode,
+                           modulus, rs, "ring", self.J)
+        except RegimeError:
+            if not unsafe:
+                raise
+            self.formal_only = True
+        self.ell = 1 if mode == "classical" else modulus
         self.modulus = modulus
         self.nil_roots = rs.nilradical_roots(self.J)
         self.reps = group.min_coset_reps(self.J)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import __version__ as TOOL_VERSION
-from .alcoves import (PreconditionError, admissibility, in_alcove,
-                      require_prime)
+from .alcoves import (PreconditionError, RegimeError, admissibility,
+                      in_alcove, require_prime, require_regime)
 from .characters import levi_simple_character
 from .kostant import frobenius_kernel_character, kostant_decomposition
 from .koszul import cochain_cup, oracle_cohomology
@@ -209,25 +209,26 @@ def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:
     record("nil-product-vs-cochain-cup", ok, bad or None)
 
     # ring identity applicability note
-    h = rs.coxeter_number
-    if p <= 2 * (h - 1):
-        record("ring-identity", True,
-               f"skipped: p={p} <= 2(h-1)={2*(h-1)}, identity not asserted")
+    try:
+        require_regime("modular", p, rs, "ring")
+    except RegimeError as exc:
+        record("ring-identity", True, f"skipped: p={p} <= 2(h-1)={exc.bound},"
+               " identity not asserted")
 
     # ext dims vs bigraded character (small cases only)
-    if p > h:
-        try:
-            alg = build_algebra((), p, rs)
-            gc, _ = ext_dims(alg, 4)
-            fk = frobenius_kernel_character(zero, (), rs, group,
-                                            "modular", p, 4).collapse()
-            record("ext-vs-bigraded-character", gc == fk,
-                   {"ext": gc.dims(), "predicted": fk.dims()})
-        except BudgetError as exc:
-            record("ext-vs-bigraded-character", True, f"skipped: {exc}")
-    else:
+    try:
+        require_regime("modular", p, rs, "ext")
+        alg = build_algebra((), p, rs)
+        gc, _ = ext_dims(alg, 4)
+        fk = frobenius_kernel_character(zero, (), rs, group,
+                                        "modular", p, 4).collapse()
+        record("ext-vs-bigraded-character", gc == fk,
+               {"ext": gc.dims(), "predicted": fk.dims()})
+    except RegimeError as exc:
         record("ext-vs-bigraded-character", True,
-               f"skipped: p={p} <= h={h}")
+               f"skipped: p={p} <= h={exc.bound}")
+    except BudgetError as exc:
+        record("ext-vs-bigraded-character", True, f"skipped: {exc}")
 
     report["elapsed_ms"] = int((time.time() - t0) * 1000)
     report["tool_version"] = TOOL_VERSION

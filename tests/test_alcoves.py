@@ -1,7 +1,8 @@
 import pytest
 
-from nilcoh.alcoves import (PreconditionError, admissibility, in_alcove,
-                            j_restricted, require_admissible, weak_linkage)
+from nilcoh.alcoves import (PreconditionError, RegimeError, admissibility,
+                            in_alcove, j_restricted, require_admissible,
+                            require_regime, weak_linkage)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -78,3 +79,21 @@ def test_require_admissible_names_flags():
 def test_unknown_context_rejected():
     with pytest.raises(ValueError):
         admissibility(5, build("A2"), "nonsense")
+
+
+def test_require_regime_bounds():
+    b2 = build("B2")  # h = 4
+    require_regime("modular", 3, b2, "kostant")  # p may reach h-1
+    for context, J, p, bound in (("kostant", (), 2, 3), ("ring", (), 5, 6),
+                                 ("ring", (0,), 7, 9), ("ext", (), 3, 4)):
+        with pytest.raises(RegimeError) as exc:
+            require_regime("modular", p, b2, context, J)
+        assert exc.value.bound == bound
+        require_regime("modular", next(q for q in (5, 7, 11) if q > bound),
+                       b2, context, J)
+    with pytest.raises(RegimeError, match="quantum mode requires l > h = 4"):
+        require_regime("quantum", 3, b2, "weight-separation")
+    require_regime("quantum", 5, b2, "weight-separation")
+    require_regime("classical", None, b2, "ring")
+    with pytest.raises(ValueError, match="unknown mode"):
+        require_regime("p-adic", 7, b2)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilcoh.cli import main
+from nilcoh.cli import COMMANDS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,6 +128,17 @@ def test_exit_code_2_on_composite_modulus(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "needs a prime p, got 4" in err
+    # every command that reads --p, so a new one cannot skip the gate
+    reading_p = [name for name, (_, flags) in COMMANDS.items()
+                 if flags and "p" in flags]
+    assert len(reading_p) == 11
+    for name in reading_p:
+        argv = (*name.split(), "--type", "A2", "--p", "9")
+        if "lambda" in COMMANDS[name][1]:
+            argv += ("--lambda", "0,0")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", name
+        assert "needs a prime p, got 9" in err, name
 
 
 def test_exit_code_2_on_check_square_rank_1(capsys):
@@ -240,6 +251,22 @@ def test_ext_does_not_load_openssl(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, timeout=120)
     assert proc.stderr.decode().splitlines()[-1] == "(0, False)"
+
+
+def test_closed_stdout_prints_no_traceback(tmp_path):
+    """A reader that stops early (`| head -c 100`) closes the pipe while the
+    payload, 160 kB here, is still being written."""
+    env = dict(os.environ, NILCOH_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "nilcoh.cli", "ring-table",
+                             "--type", "B3", "--p", "11"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_kostant_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch):

@@ -34,6 +34,8 @@ def test_modular_gate():
     rs, g = _setup("G2")  # h = 6
     with pytest.raises(PreconditionError):
         kostant_decomposition((0, 0), (), rs, g, "modular", 3)  # p < h-1
+    with pytest.raises(PreconditionError, match="needs a prime p, got 9"):
+        kostant_decomposition((0, 0), (), rs, g, "modular", 9)  # composite
     kd = kostant_decomposition((0, 0), (), rs, g, "modular", 7)
     assert kd.poincare() == [1, 2, 2, 2, 2, 2, 1]
 

@@ -72,6 +72,9 @@ def test_classical_bound_gate_and_unsafe():
     assert "FORMAL MODEL" in ring.label()
     with pytest.raises(PreconditionError):
         CohomologyRing(rs, g, (0,), "classical", 7)  # needs p > 3(h-1) = 9
+    for unsafe in (False, True):  # composite p > 2(h-1): unsafe waives no prime
+        with pytest.raises(PreconditionError, match="needs a prime p, got 9"):
+            CohomologyRing(rs, g, (), "classical", 9, unsafe=unsafe)
 
 
 def test_full_product_tensor_structure():

@@ -119,6 +119,15 @@ def test_consistency_suite_a2():
     assert "ext-vs-bigraded-character" in names
 
 
+def test_consistency_suite_skips_name_the_bounds():
+    rs, g = _setup("A2")  # h = 3
+    details = {c["name"]: c.get("detail")
+               for c in consistency_suite(rs, g, 3)["checks"]}
+    assert details["ring-identity"] == \
+        "skipped: p=3 <= 2(h-1)=4, identity not asserted"
+    assert details["ext-vs-bigraded-character"] == "skipped: p=3 <= h=3"
+
+
 def test_certificate_fields():
     rs, g = _setup("A2")
     _, cert = search_sum_dot(rs, g, 5)
