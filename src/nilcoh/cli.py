@@ -329,17 +329,18 @@ def _run(args) -> dict:
     if cmd == "quantum":
         if args.l is None:
             raise PreconditionError("quantum checks need --l")
-        profile, passed = admissibility(args.l, rs, "base")
+        _, l = _mode_modulus(args, rs)
+        profile, passed = admissibility(l, rs, "base")
         if not passed:
             raise PreconditionError(
-                f"l={args.l} fails the base admissibility gate on {rs.label}"
+                f"l={l} fails the base admissibility gate on {rs.label}"
                 f" ({profile.flags()})")
-        basis = square_free_basis(rs, args.l)
+        basis = square_free_basis(rs, l)
         return {
-            "l": args.l,
+            "l": l,
             "admissibility": profile.flags(),
-            "defining_relations": defining_relations_hold(rs, args.l),
-            "confluent": straightening_confluent(rs, args.l),
+            "defining_relations": defining_relations_hold(rs, l),
+            "confluent": straightening_confluent(rs, l),
             "square_free_basis_count": len(basis),
         }
 

@@ -53,38 +53,54 @@ class Span:
             return {k: x for k, x in vec.items() if x}
         return {k: r for k, x in vec.items() if (r := x % p)}
 
-    def _axpy(self, vec: dict, f, other: dict) -> dict:
-        """vec + f * other, cleaned."""
-        out = dict(vec)
+    def _axpy(self, vec: dict, f, other: dict):
+        """vec += f * other in place, popping the entries that cancel."""
+        p, get = self.p, vec.get
         for k, x in other.items():
-            out[k] = out.get(k, 0) + f * x
-        return self._clean(out)
+            x = get(k, 0) + f * x
+            if p is not None:
+                x %= p
+            if x:
+                vec[k] = x
+            else:
+                vec.pop(k, None)
 
     def _reduce(self, vec: dict):
-        """(vec minus its row combination, that combination)."""
-        res, comb, rows = dict(vec), {}, self._rows
+        """(vec minus its row combination, that combination; {} once
+        combinations are dropped)."""
+        res, comb, rows, track = dict(vec), {}, self._rows, self._track
+        get = res.get
         for key, c in vec.items():
             hit = rows.get(key)
             if hit is not None and c:
                 for k, x in hit[0].items():
-                    res[k] = res.get(k, 0) - c * x
-                for i, x in hit[1].items():
-                    comb[i] = comb.get(i, 0) + c * x
-        return self._clean(res), self._clean(comb)
+                    res[k] = get(k, 0) - c * x
+                if track:
+                    for i, x in hit[1].items():
+                        comb[i] = comb.get(i, 0) + c * x
+        return self._clean(res), self._clean(comb) if track else comb
 
     def add(self, vec: dict):
         res, comb = self._reduce(vec)
         if not res:
             return comb if self._track else True
         lead, c = next(iter(res.items()))
-        inv = Fraction(1) / c if self.p is None else pow(c, -1, self.p)
-        row = self._axpy({}, inv, res)
-        comb = self._axpy({self.size: inv}, -inv, comb) if self._track else {}
-        for key, (other, other_comb) in self._rows.items():
+        p, track = self.p, self._track
+        if p is None:
+            inv = Fraction(1) / c
+            row = {k: x * inv for k, x in res.items()}
+        else:
+            inv = pow(c, -1, p)
+            row = {k: x * inv % p for k, x in res.items()}
+        if track:  # row = inv * (vec - sum comb_i kept_i)
+            reduced, comb = comb, {self.size: inv}
+            self._axpy(comb, -inv, reduced)
+        for other, other_comb in self._rows.values():
             f = other.get(lead)
             if f:
-                self._rows[key] = (self._axpy(other, -f, row),
-                                   self._axpy(other_comb, -f, comb))
+                self._axpy(other, -f, row)
+                if track:
+                    self._axpy(other_comb, -f, comb)
         self._rows[lead] = (row, comb)
         self.size += 1
         return None

@@ -22,6 +22,15 @@ height(w) + reach, reach the largest height of such a gamma: no later
 weight can read it, and no image is built twice.  `mult_mono` and `multiply`
 stay as the independent reference: `check_complex` reads d^2 = 0 through
 them, so the check and the build multiply by two different paths.
+
+Inside the build, a basis element x^m e_s of a free module A^r is one int,
+s p^n + index(m), where index(m) = sum m_k p^(n-1-k) is the position of m in
+lexicographic order; so the key of x^(m - e_h) e_s is the key less
+p^(n-1-h), block order and dict order are those of the (s, m) tuples, and
+no tuple is hashed in the inner loop.  x_g acts through `gen_index`, the
+products `mult_gen` by index, each read once from `mult_gen` and kept.
+Each stage decodes its differential to {(s, m): coeff} once, at its end;
+`check_minimal` and `check_complex` read only that form.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -56,7 +66,8 @@ class RestrictedAlgebra:
         self.J = tuple(sorted(set(J)))
         self.roots = rs.nilradical_roots(self.J)
         self.n = len(self.roots)
-        if p ** self.n > dim_budget:
+        self.dimension = p ** self.n
+        if self.dimension > dim_budget:
             raise BudgetError(
                 f"algebra dimension p^N = {p}^{self.n} exceeds budget {dim_budget}")
         # [x_a, x_b] = c * x_k for nilradical positions a < b, c mod p
@@ -66,10 +77,13 @@ class RestrictedAlgebra:
         self._gen_cache: dict = {}
         self._mono_cache: dict = {}
         self._root_fund = [rs.root_to_fund(g) for g in self.roots]
-
-    @property
-    def dimension(self) -> int:
-        return self.p ** self.n
+        # the monomials by index (see `mono_index`), the first nonzero
+        # exponent of each, and `mult_gen` by index, filled as it is read
+        self.monomials = list(product(range(p), repeat=self.n))
+        self.lead = [next((k for k, a in enumerate(m) if a), None)
+                     for m in self.monomials]
+        self.gen_index: list[list] = [[None] * self.dimension
+                                      for _ in range(self.n)]
 
     def _check_restricted(self):
         """(ad x_gamma)^p = 0: the adjoint operators are nilpotent of order
@@ -137,6 +151,22 @@ class RestrictedAlgebra:
         self._gen_cache[key] = out
         return out
 
+    def mono_index(self, mono: tuple) -> int:
+        """The index of x^mono: sum mono_k p^(n-1-k), its position in the
+        lexicographic order of `monomials`."""
+        i = 0
+        for a in mono:
+            i = i * self.p + a
+        return i
+
+    def mult_gen_index(self, g: int, i: int) -> tuple:
+        """x_g * x^(monomials[i]) as ((index, coeff), ...), in the order of
+        `mult_gen`, which it is read from once and kept in `gen_index`."""
+        out = self.gen_index[g][i] = tuple(
+            (self.mono_index(m), c)
+            for m, c in self.mult_gen(g, self.monomials[i]).items())
+        return out
+
     def mult_mono(self, a: tuple, mono: tuple) -> dict:
         """x^a * x^mono as {monomial: coeff mod p}."""
         if not any(a):
@@ -174,17 +204,22 @@ def build_algebra(J, p: int, rs: RootSystem,
 # ----------------------------------------------------------------------
 # Minimal resolution
 #
-# Free module elements are dicts {(gen_index, monomial): coeff}.  The
-# T-weight of (s, m) is gen_weight[s] + weight(m); differentials preserve
-# weight, so kernels split into small blocks.
+# Inside the build a free module element is a dict {key: coeff} with one
+# int key per basis element: x^m e_s has key s * p^n + mono_index(m), so
+# the keys of one generator form a block in lexicographic monomial order.
+# The T-weight of x^m e_s is gen_weight[s] + weight(m); differentials
+# preserve weight, so kernels split into small blocks.  A finished stage
+# decodes its differential to {(s, monomial): coeff} once.
 
 
 @dataclass
 class ResolutionStage:
     degree: int
     gen_weights: list          # weight of each generator (fund coords)
-    differential: list         # per generator: element of the previous stage
-    # (stage 0 has one generator of weight 0 and differential [] -> k)
+    differential: list         # per generator: element of the previous
+    # stage, {(s, monomial): coeff}; stage 0 has one generator of weight 0
+    # and differential [] -> k.  While a stage is built it holds its
+    # generators int-keyed, in the order found.
 
 
 class MinimalResolution:
@@ -192,6 +227,9 @@ class MinimalResolution:
         self.alg = alg
         self.max_degree = max_degree
         self.stages: list[ResolutionStage] = []
+        # each stage's differential, int-keyed: what the build and the
+        # Yoneda lifts read
+        self._coded: list[list[dict]] = []
         self._build()
         # lifting degree -> what `yoneda_product` reads there; filled by
         # the first product that lifts through that degree
@@ -200,13 +238,14 @@ class MinimalResolution:
     # -- helpers -------------------------------------------------------
 
     def _elem_weight_blocks(self, gen_weights):
-        """Basis of A^{gens} grouped by weight: {wt: [(s, mono), ...]}."""
-        weights = alg_monomials(self.alg)
+        """Keys of A^{gens} grouped by weight: {wt: [key, ...]}, in key
+        order."""
+        dim = self.alg.dimension
         blocks: dict[tuple, list] = {}
         for s, gw in enumerate(gen_weights):
-            for mono, mw in weights.items():
+            for i, mw in enumerate(alg_monomials(self.alg).values()):
                 wt = tuple(g + m for g, m in zip(gw, mw))
-                blocks.setdefault(wt, []).append((s, mono))
+                blocks.setdefault(wt, []).append(s * dim + i)
         return blocks
 
     def _apply(self, images, elem: dict) -> dict:
@@ -223,47 +262,61 @@ class MinimalResolution:
                     out[key] = (out.get(key, 0) + c * c2 * c3) % alg.p
         return {k: v for k, v in out.items() if v}
 
-    def _image(self, images, memo: dict, s, mono: tuple) -> dict:
-        """x^mono images[s], memoised in `memo` by (s, mono).
+    def _times(self, g: int, vec: dict) -> dict:
+        """x_g vec for an int-keyed element vec, reduced mod p: x_g x^m e_s
+        is read off `gen_index` at the index of m and moved to the block
+        of e_s."""
+        alg = self.alg
+        dim, row = alg.dimension, alg.gen_index[g]
+        out: dict = {}
+        get = out.get
+        for key, c in vec.items():
+            i = key % dim
+            prods = row[i]
+            if prods is None:
+                prods = alg.mult_gen_index(g, i)
+            base = key - i
+            for j, c2 in prods:
+                j += base
+                out[j] = get(j, 0) + c * c2
+        p = alg.p
+        return {key: r for key, x in out.items() if (r := x % p)}
 
-        With h the first index where mono_h > 0, x^mono = x_h x^(mono - e_h)
-        in PBW order, so the image is x_h times the image one step lower,
-        which only needs `mult_gen`.  A memo serves one map `images`."""
-        key = (s, mono)
+    def _image(self, images, memo: dict, key: int) -> dict:
+        """x^m images[s] for key = s * p^n + mono_index(m), memoised in
+        `memo` by key.
+
+        With h the first index where m_h > 0, x^m = x_h x^(m - e_h) in PBW
+        order, and the key of x^(m - e_h) e_s is key - p^(n-1-h), so the
+        image is x_h times the image one step lower, which only needs
+        `mult_gen`.  A memo serves one map `images`."""
         out = memo.get(key)
         if out is not None:
             return out
-        h = next((k for k, a in enumerate(mono) if a), None)
-        if h is None:
-            return images[s]
-        lower = list(mono)
-        lower[h] -= 1
         alg = self.alg
-        p, mult_gen = alg.p, alg.mult_gen
-        out = {}
-        for (t, m), c in self._image(images, memo, s, tuple(lower)).items():
-            for m2, c2 in mult_gen(h, m).items():
-                k2 = (t, m2)
-                out[k2] = (out.get(k2, 0) + c * c2) % p
-        out = {k2: c for k2, c in out.items() if c}
-        memo[key] = out
+        i = key % alg.dimension
+        if not i:
+            return images[key // alg.dimension]
+        h = alg.lead[i]
+        lower = self._image(images, memo, key - alg.p ** (alg.n - 1 - h))
+        out = memo[key] = self._times(h, lower)
         return out
 
     def _d_block(self, degree: int, dom: list, memo: dict | None = None):
-        """d_degree on the weight block with basis `dom`.
+        """d_degree on the weight block with keys `dom`.
 
         Adds the image of each b in `dom` to one Span and returns it, the
-        elements whose images it kept, and the kernel basis: for each other
+        keys whose images it kept, and the kernel basis: for each other
         b, {b: 1} - sum c * kept[i] where add(d b) returned {i: c}.  The
         images come from `_image` with `memo`, a memo of d_degree images
         (a new one when None)."""
         p = self.alg.p
-        diff = self.stages[degree].differential
+        diff = self._coded[degree]
         memo = {} if memo is None else memo
         span = Span(p)
         kept, kernel = [], []
         for b in dom:
-            comb = span.add(self._image(diff, memo, *b))
+            comb = span.add(self._image(diff, memo, b))
             if comb is None:
                 kept.append(b)
             else:
@@ -273,8 +326,8 @@ class MinimalResolution:
         return span, kept, kernel
 
     def _lifting(self, k: int):
-        """(basis of F_k by weight, memo of d_k images, weight -> (span of
-        the d_k images of that block, the elements it kept)).  None of it
+        """(keys of F_k by weight, memo of d_k images, weight -> (span of
+        the d_k images of that block, the keys it kept)).  None of it
         depends on the classes multiplied, so every Yoneda product on this
         resolution shares it; the spans fill in as products reach them."""
         lifting = self._liftings.get(k)
@@ -286,8 +339,9 @@ class MinimalResolution:
     def _build(self):
         alg = self.alg
         self.stages.append(ResolutionStage(0, [(0,) * alg.rs.rank], []))
+        self._coded.append([])
         # stage-0 kernel: the augmentation ideal, basis = non-unit monomials
-        kernel = {wt: [{(0, mono): 1} for mono in monos]
+        kernel = {wt: [{i: 1} for i in monos]
                   for wt, monos in _augmentation_monomials(alg).items()}
         for degree in range(1, self.max_degree + 1):
             kernel = self._stage(degree, kernel)
@@ -307,13 +361,16 @@ class MinimalResolution:
         kept set and no combination.  The top stage needs no next kernel
         and spans A_+K by x_gamma k alone."""
         alg = self.alg
+        dim = alg.dimension
         top = degree == self.max_degree
-        # generators keyed (weight, j), the j-th kept at that weight, in a
-        # provisional stage through which `_d_block` reads their images
-        diff: dict[tuple, dict] = {}
-        self.stages.append(ResolutionStage(degree, [], diff))
+        # the generators numbered in the order found, in a provisional
+        # stage through which `_d_block` reads their images
+        gen_weights: list[tuple] = []
+        diff: list[dict] = []
+        self.stages.append(ResolutionStage(degree, gen_weights, diff))
+        self._coded.append(diff)
         images: dict = {}  # memo of d(a g) for this stage only
-        found: dict[tuple, int] = {}         # weight -> generators there
+        found: dict[tuple, range] = {}       # weight -> generators there
         below: dict[tuple, set] = {}         # weight -> generator weights below
         monos = _augmentation_monomials(alg)  # weight -> non-unit monomials
         form = _height_form(alg.rs)
@@ -335,9 +392,9 @@ class MinimalResolution:
                 span = self._augmented_span(kernel, wt)
                 elems = kernel[wt]
             else:
-                block = [((w, j), a) for w in sorted(below.get(wt, ()))
-                         for j in range(found[w])
-                         for a in monos[tuple(x - y for x, y in zip(wt, w))]]
+                block = [s * dim + i for w in sorted(below.get(wt, ()))
+                         for s in found[w]
+                         for i in monos[tuple(x - y for x, y in zip(wt, w))]]
                 span, _, ker = self._d_block(degree, block, images)
                 done.append((height, block))
                 if ker:
@@ -349,9 +406,9 @@ class MinimalResolution:
             if span.size == len(elems):
                 continue
             gens = [elem for elem in elems if span.add(elem) is None]
-            for j, elem in enumerate(gens):
-                diff[(wt, j)] = elem
-            found[wt] = len(gens)
+            found[wt] = range(len(diff), len(diff) + len(gens))
+            diff.extend(gens)
+            gen_weights.extend([wt] * len(gens))
             if top:
                 continue
             for mw in monos:
@@ -361,15 +418,21 @@ class MinimalResolution:
                     queued.add(up)
                     heapq.heappush(heap, (sum(map(mul, form, up)), up))
 
-        # number the generators by weight tuple, then kernel order
-        order = sorted(diff)
+        # number the generators by weight, then in the order found
+        order = sorted(range(len(diff)), key=gen_weights.__getitem__)
+        coded = self._coded[degree] = [diff[s] for s in order]
+        monomials = alg.monomials
         self.stages[degree] = ResolutionStage(
-            degree, [wt for wt, _ in order], [diff[key] for key in order])
+            degree, [gen_weights[s] for s in order],
+            [{(key // dim, monomials[key % dim]): c
+              for key, c in elem.items()} for elem in coded])
         if top:
             return None
-        index = {key: i for i, key in enumerate(order)}
+        shift = [0] * len(order)
+        for new, s in enumerate(order):
+            shift[s] = (new - s) * dim
         for ker in next_kernel.values():
-            ker[:] = [{(index[g], mono): c for (g, mono), c in elem.items()}
+            ker[:] = [{key + shift[key // dim]: c for key, c in elem.items()}
                       for elem in ker]
         return next_kernel
 
@@ -383,11 +446,7 @@ class MinimalResolution:
         full = len(kernel[wt])
         for g, gf in enumerate(alg._root_fund):
             for elem in kernel.get(tuple(a - b for a, b in zip(wt, gf)), ()):
-                moved: dict = {}
-                for (s, mono), c in elem.items():
-                    for m2, c2 in alg.mult_gen(g, mono).items():
-                        moved[(s, m2)] = moved.get((s, m2), 0) + c * c2
-                span.add(moved)
+                span.add(self._times(g, elem))
                 if span.size == full:
                     return span
         return span
@@ -430,12 +489,12 @@ class MinimalResolution:
 
 
 def _augmentation_monomials(alg: RestrictedAlgebra) -> dict:
-    """{weight: the non-unit monomials of that weight, in lexicographic
-    order}: the basis of A_+ by weight."""
+    """{weight: the indices of the non-unit monomials of that weight, in
+    increasing order}: the basis of A_+ by weight."""
     out: dict[tuple, list] = {}
-    for mono, wt in alg_monomials(alg).items():
-        if any(mono):
-            out.setdefault(wt, []).append(mono)
+    for i, wt in enumerate(alg_monomials(alg).values()):
+        if i:
+            out.setdefault(wt, []).append(i)
     return out
 
 
@@ -450,12 +509,9 @@ def _height_form(rs: RootSystem) -> tuple:
 
 
 def alg_monomials(alg: RestrictedAlgebra) -> dict:
-    """{PBW exponent tuple: its T-weight}, in lexicographic order."""
+    """{PBW exponent tuple: its T-weight}, in index (lexicographic) order."""
     if getattr(alg, "_monomials", None) is None:
-        out = [()]
-        for _ in range(alg.n):
-            out = [m + (a,) for m in out for a in range(alg.p)]
-        alg._monomials = {m: alg.weight(m) for m in out}
+        alg._monomials = {m: alg.weight(m) for m in alg.monomials}
     return alg._monomials
 
 
@@ -466,7 +522,10 @@ def ext_dims(alg: RestrictedAlgebra, max_degree: int = 4):
     if max_degree > 6:
         raise BudgetError("max_degree above the supported default of 6")
     res = MinimalResolution(alg, max_degree)
-    assert res.check_minimal() and res.check_complex()
+    if not res.check_minimal():
+        raise RuntimeError("the resolution is not minimal")
+    if not res.check_complex():
+        raise RuntimeError("the resolution is not a complex (d^2 != 0)")
     return res.ext_character(), res
 
 
@@ -493,24 +552,23 @@ def yoneda_product(res: MinimalResolution, z1, z2):
     total = d1 + d2
     if total >= len(res.stages):
         raise ValueError("product degree beyond the computed resolution")
-    zero_mono = (0,) * alg.n
 
-    # g_0: F_{d2} -> F_0, e_s -> delta_{s,g2idx} * e_0
+    # g_0: F_{d2} -> F_0, e_s -> delta_{s,g2idx} * e_0 (key 0)
     chain: dict[int, list] = {}
-    chain[0] = [({(0, zero_mono): 1} if s == g2idx else {})
+    chain[0] = [({0: 1} if s == g2idx else {})
                 for s in range(len(res.stages[d2].gen_weights))]
     for k in range(1, d1 + 1):
-        src = res.stages[d2 + k]
+        src = res._coded[d2 + k]
         tgt_blocks, d_images, d_blocks = res._lifting(k)
         g_images: dict = {}  # memo of a g_{k-1}(e_t), for this call and k
         maps = []
-        for s, swt in enumerate(src.gen_weights):
+        for s, swt in enumerate(res.stages[d2 + k].gen_weights):
             # rhs = g_{k-1}(d_{d2+k}(e_s)), an element of F_{k-1}
             rhs: dict = {}
-            for (t, mono), c in src.differential[s].items():
-                for key, c2 in res._image(chain[k - 1], g_images,
-                                          t, mono).items():
-                    rhs[key] = (rhs.get(key, 0) + c * c2) % p
+            for key, c in src[s].items():
+                for key2, c2 in res._image(chain[k - 1], g_images,
+                                           key).items():
+                    rhs[key2] = (rhs.get(key2, 0) + c * c2) % p
             # solve d_k(x) = rhs with x in the weight block of F_k at
             # weight swt - weight(e_{g2idx})
             wt = tuple(a - b for a, b in
@@ -526,10 +584,11 @@ def yoneda_product(res: MinimalResolution, z1, z2):
         chain[k] = maps
 
     # z1 o g_{d1}: evaluate the dual cocycle of generator g1idx on each
-    # generator image (the unit-coefficient of the g1idx component)
+    # generator image (the unit-coefficient of the g1idx component, whose
+    # key is g1idx * p^n)
     out = {}
     for s in range(len(res.stages[total].gen_weights)):
-        val = chain[d1][s].get((g1idx, zero_mono), 0) if d1 > 0 else \
+        val = chain[d1][s].get(g1idx * alg.dimension, 0) if d1 > 0 else \
             (1 if s == g2idx and g1idx == 0 else 0)
         if val % p:
             out[s] = val % p

@@ -237,6 +237,47 @@ def test_exit_code_2_on_check_square_without_one_class(capsys):
                         " 0 classes")
 
 
+def _subprocess_env(tmp_path):
+    env = dict(os.environ, NILCOH_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("value", ("0", "1"))
+def test_quantum_exits_2_on_l_below_2(tmp_path, value):
+    """`quantum` gates --l like every other command that reads it."""
+    proc = subprocess.run([sys.executable, "-m", "nilcoh.cli", "quantum",
+                           "--type", "A2", "--l", value],
+                          env=_subprocess_env(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--l must be at least 2, got {value}" in proc.stderr
+
+
+@pytest.mark.parametrize("check", ("check_minimal", "check_complex"))
+def test_failed_resolution_check_exits_1_under_optimize(tmp_path, check):
+    """`ext_dims` checks its resolution with an explicit raise, which
+    `python -O` keeps where it strips an assert: a failing check exits 1
+    and prints no dims."""
+    script = ("import sys\n"
+              "assert sys.flags.optimize == 0  # stripped under -O\n"
+              "from nilcoh import restricted\n"
+              f"setattr(restricted.MinimalResolution, {check!r},"
+              " lambda self: False)\n"
+              "from nilcoh.cli import main\n"
+              "sys.exit(main(['ext', '--type', 'A2', '--p', '3',"
+              " '--max-degree', '2']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=_subprocess_env(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "internal error: RuntimeError: the resolution is not" \
+        in proc.stderr
+
+
 def test_ext_does_not_load_openssl(tmp_path):
     """`ext` hashes nothing, so it never imports hashlib, whose `_hashlib`
     loads OpenSSL's libcrypto into the process."""
@@ -245,10 +286,8 @@ def test_ext_does_not_load_openssl(tmp_path):
               "code = main(['ext', '--type', 'A2', '--p', '3',"
               " '--max-degree', '2'])\n"
               "sys.stderr.write(repr((code, '_hashlib' in sys.modules)))\n")
-    env = dict(os.environ, NILCOH_CACHE=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_subprocess_env(tmp_path),
                           capture_output=True, timeout=120)
     assert proc.stderr.decode().splitlines()[-1] == "(0, False)"
 
@@ -256,11 +295,9 @@ def test_ext_does_not_load_openssl(tmp_path):
 def test_closed_stdout_prints_no_traceback(tmp_path):
     """A reader that stops early (`| head -c 100`) closes the pipe while the
     payload, 160 kB here, is still being written."""
-    env = dict(os.environ, NILCOH_CACHE=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "nilcoh.cli", "ring-table",
-                             "--type", "B3", "--p", "11"], env=env,
+                             "--type", "B3", "--p", "11"],
+                            env=_subprocess_env(tmp_path),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()

@@ -179,3 +179,66 @@ def test_span_without_combinations_keeps_the_same_vectors(vecs, probes, p,
         comb = tracked.express(vec)
         assert membership.express(vec) is (None if comb is None else True)
     assert membership.size == tracked.size
+
+
+@st.composite
+def shuffled_vectors(draw):
+    """Sparse vectors on the keys 0-7, each with its keys inserted in a
+    random order; entries may be 0 or vanish mod p."""
+    vecs = []
+    for _ in range(draw(st.integers(0, 10))):
+        entries = draw(st.dictionaries(st.integers(0, 7), st.integers(-3, 3),
+                                       max_size=5))
+        order = draw(st.permutations(sorted(entries)))
+        vecs.append({k: entries[k] for k in order})
+    return vecs
+
+
+def _gauss_jordan(rows, p):
+    """(nonzero rows, pivot columns) of the reduced row echelon form, by
+    textbook Gauss-Jordan on the dense matrix, independent of
+    nilcoh.linalg (whose `echelon` is built on `Span`)."""
+    norm = Fraction if p is None else (lambda x: x % p)
+    m, pivots = [[norm(x) for x in row] for row in rows], []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = 1 / m[r][c] if p is None else pow(m[r][c], -1, p)
+        m[r] = [norm(x * inv) for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [norm(a - row[c] * b) for a, b in zip(row, m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_vectors(), st.sampled_from(PRIMES + (None,)), st.data())
+def test_span_matches_dense_echelon(vecs, p, data):
+    """Adding the vectors one by one keeps the pivot columns of the dense
+    matrix whose columns they are, and a dependent vector's combination is
+    its column of the reduced row echelon form, before and after
+    `drop_combinations()`.  The form is `echelon`'s, checked against
+    `_gauss_jordan`."""
+    keys = sorted({k for vec in vecs for k in vec})
+    rows = [[vec.get(k, 0) for vec in vecs] for k in keys] or [[0] * len(vecs)]
+    red, pivots = echelon(rows, p)
+    assert (red, pivots) == _gauss_jordan(rows, p)
+    drop_at = data.draw(st.integers(0, len(vecs)))
+    span, kept = Span(p), []
+    for c, vec in enumerate(vecs):
+        if c == drop_at:
+            span.drop_combinations()
+        got = span.add(vec)
+        if c in pivots:
+            assert got is None
+            kept.append(c)
+        elif c < drop_at:
+            assert got == {i: row[c] for i, row in enumerate(red) if row[c]}
+        else:
+            assert got is True
+        assert span.size == len(kept)
+    assert kept == pivots

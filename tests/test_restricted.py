@@ -160,29 +160,39 @@ def test_find_class_by_weight():
     assert len(find_class_by_weight(res, 2, wt)) == 1
 
 
+def _decode(alg, vec):
+    """An int-keyed free-module element as {(s, monomial): coeff}."""
+    return {(key // alg.dimension, alg.monomials[key % alg.dimension]): c
+            for key, c in vec.items()}
+
+
 def _two_pass_stages(alg, max_degree):
     """The resolution by two passes per stage: the generators are the
     kernel elements independent of the x_gamma k and of the kernel
     elements before them, weight by weight in sorted order; then the whole
     kernel of the new differential comes from `_d_block` on every weight
-    block of the new stage."""
+    block of the new stage.  Elements are int-keyed, as `_d_block` reads
+    and returns them; x_gamma k is formed by the tuple `mult_gen`."""
     res = MinimalResolution.__new__(MinimalResolution)
     res.alg, res.max_degree = alg, max_degree
     res.stages = [ResolutionStage(0, [(0,) * alg.rs.rank], [])]
-    monos = alg_monomials(alg)
-    kernel = [{(0, mono): 1} for mono in monos if any(mono)]
+    res._coded = [[]]
+    dim, weights = alg.dimension, list(alg_monomials(alg).values())
+    kernel = [{i: 1} for i in range(1, dim)]
     for degree in range(1, max_degree + 1):
         prev = res.stages[-1].gen_weights
         ker_by_wt, aug_by_wt = {}, {}
         for elem in kernel:
-            s0, mono0 = next(iter(elem))
-            wt = tuple(a + b for a, b in zip(prev[s0], monos[mono0]))
+            s0, i0 = divmod(next(iter(elem)), dim)
+            wt = tuple(a + b for a, b in zip(prev[s0], weights[i0]))
             ker_by_wt.setdefault(wt, []).append(elem)
             for g, gf in enumerate(alg._root_fund):
                 moved = {}
-                for (s, mono), c in elem.items():
-                    for m2, c2 in alg.mult_gen(g, mono).items():
-                        moved[(s, m2)] = moved.get((s, m2), 0) + c * c2
+                for key, c in elem.items():
+                    s, i = divmod(key, dim)
+                    for m2, c2 in alg.mult_gen(g, alg.monomials[i]).items():
+                        k2 = s * dim + alg.mono_index(m2)
+                        moved[k2] = moved.get(k2, 0) + c * c2
                 gwt = tuple(a + b for a, b in zip(wt, gf))
                 aug_by_wt.setdefault(gwt, []).append(moved)
         gen_weights, diff = [], []
@@ -194,7 +204,9 @@ def _two_pass_stages(alg, max_degree):
                 if span.add(elem) is None:
                     gen_weights.append(wt)
                     diff.append(elem)
-        res.stages.append(ResolutionStage(degree, gen_weights, diff))
+        res._coded.append(diff)
+        res.stages.append(ResolutionStage(
+            degree, gen_weights, [_decode(alg, elem) for elem in diff]))
         blocks = res._elem_weight_blocks(gen_weights)
         kernel = [elem for wt in sorted(blocks)
                   for elem in res._d_block(degree, blocks[wt])[2]]
@@ -249,8 +261,9 @@ def test_memoised_image_matches_mult_mono(resolutions, case, data):
         for m3, c3 in alg.mult_mono(a, m).items():
             expected[(t, m3)] = (expected.get((t, m3), 0) + c * c3) % alg.p
     expected = {k: v for k, v in expected.items() if v}
-    assert res._image(diff, {}, g, a) == expected
-    assert res._image(diff, memos[degree], g, a) == expected
+    key, coded = g * alg.dimension + alg.mono_index(a), res._coded[degree]
+    assert _decode(alg, res._image(coded, {}, key)) == expected
+    assert _decode(alg, res._image(coded, memos[degree], key)) == expected
 
 
 def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
@@ -263,9 +276,9 @@ def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
     memos = {}
     image = MinimalResolution._image
 
-    def recording(self, images, memo, s, mono):
+    def recording(self, images, memo, key):
         memos[id(memo)] = memo
-        return image(self, images, memo, s, mono)
+        return image(self, images, memo, key)
 
     monkeypatch.setattr(MinimalResolution, "_image", recording)
     alg = build_algebra((), 5, build("B2"))
@@ -295,23 +308,26 @@ def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
         return sum(map(mul, form, wt))
 
     reach = max(height(f) for f in alg._root_fund)
-    mono_height = {m: height(w) for m, w in alg_monomials(alg).items()}
+    mono_height = [height(w) for w in alg_monomials(alg).values()]
     depths, elements, misses = [], [0], [0]
     d_block, image = MinimalResolution._d_block, MinimalResolution._image
 
+    def key_height(self, deg, key):
+        # generator s of the stage being built, numbered in the order found
+        s, i = divmod(key, alg.dimension)
+        return height(self.stages[deg].gen_weights[s]) + mono_height[i]
+
     def recording_d_block(self, deg, dom, memo=None):
         if dom:
-            (w, _), mono = dom[0]
-            top = height(w) + mono_height[mono]
-            depths.extend(top - height(v) - mono_height[m]
-                          for (v, _), m in memo)
+            top = key_height(self, deg, dom[0])
+            depths.extend(top - key_height(self, deg, key) for key in memo)
             elements[0] += len(dom)
         return d_block(self, deg, dom, memo)
 
-    def recording_image(self, images, memo, s, mono):
-        if any(mono) and (s, mono) not in memo:
+    def recording_image(self, images, memo, key):
+        if key % alg.dimension and key not in memo:
             misses[0] += 1
-        return image(self, images, memo, s, mono)
+        return image(self, images, memo, key)
 
     monkeypatch.setattr(MinimalResolution, "_d_block", recording_d_block)
     monkeypatch.setattr(MinimalResolution, "_image", recording_image)
