@@ -363,8 +363,9 @@ class MinimalResolution:
         alg = self.alg
         dim = alg.dimension
         top = degree == self.max_degree
-        # the generators numbered in the order found, in a provisional
-        # stage through which `_d_block` reads their images
+        # the generators numbered in the order found: `_d_block` reads
+        # their images from `_coded`, and a provisional stage holds them
+        # with their weights until they are renumbered
         gen_weights: list[tuple] = []
         diff: list[dict] = []
         self.stages.append(ResolutionStage(degree, gen_weights, diff))
