@@ -27,6 +27,8 @@ BOUNDS = {
                           "classical ring model requires p > {bound} (got"
                           " {modulus}); pass unsafe to study the formal model"),
     ("modular", "ext"): (lambda h, J: h, True, "Ext check needs p > h = {bound}"),
+    ("modular", "weight-separation"): (lambda h, J: h, True,
+                                       "modular mode requires p > h = {bound}"),
     ("quantum", "weight-separation"): (lambda h, J: h, True,
                                        "quantum mode requires l > h = {bound}"),
 }

@@ -15,7 +15,7 @@ Each image is derived from one a step lower, as in Bruner's scheme: with h
 the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
 d(x^a g) = x_h d(x^(a - e_h) g).  The lower image has a weight of smaller
 height, so it sits in a memo that lives for one stage, and the build only
-multiplies by single generators (`mult_gen`).  An image at weight w is read
+multiplies by single generators (`gen_index`).  An image at weight w is read
 only by images at w + gamma for a nilradical root gamma, and weights leave
 the heap in order of height, so the memo drops it once the height passes
 height(w) + reach, reach the largest height of such a gamma: no later
@@ -28,8 +28,11 @@ s p^n + index(m), where index(m) = sum m_k p^(n-1-k) is the position of m in
 lexicographic order; so the key of x^(m - e_h) e_s is the key less
 p^(n-1-h), block order and dict order are those of the (s, m) tuples, and
 no tuple is hashed in the inner loop.  x_g acts through `gen_index`, the
-products `mult_gen` by index, each read once from `mult_gen` and kept.
-Each stage decodes its differential to {(s, m): coeff} once, at its end;
+one table of products x_g x^m, straightened on indices when first read;
+`mult_gen` decodes it to monomials for `mult_mono`.  The algebra lists its
+monomials' weights by index and its monomials by weight once, and the keys
+of a free module at one weight come from one helper (`_block`).  Each stage
+decodes its differential to {(s, m): coeff} once, at its end;
 `check_minimal` and `check_complex` read only that form.
 """
 
@@ -58,8 +61,7 @@ class BudgetError(RuntimeError):
 class RestrictedAlgebra:
     """u(u_J) over F_p: PBW monomials x^a, 0 <= a_gamma < p, x_gamma^p = 0."""
 
-    def __init__(self, J, p: int, rs: RootSystem,
-                 dim_budget: int = DEFAULT_DIM_BUDGET):
+    def __init__(self, J, p: int, rs: RootSystem):
         require_prime(p, "the restricted enveloping algebra")
         self.rs = rs
         self.p = p
@@ -67,23 +69,32 @@ class RestrictedAlgebra:
         self.roots = rs.nilradical_roots(self.J)
         self.n = len(self.roots)
         self.dimension = p ** self.n
-        if self.dimension > dim_budget:
-            raise BudgetError(
-                f"algebra dimension p^N = {p}^{self.n} exceeds budget {dim_budget}")
+        if self.dimension > DEFAULT_DIM_BUDGET:
+            raise BudgetError(f"algebra dimension p^N = {p}^{self.n} exceeds"
+                              f" budget {DEFAULT_DIM_BUDGET}")
         # [x_a, x_b] = c * x_k for nilradical positions a < b, c mod p
         self.bracket = {ab: (k, val % p) for ab, (k, val)
                         in nilradical_constants(rs, self.roots).items()}
         self._check_restricted()
-        self._gen_cache: dict = {}
         self._mono_cache: dict = {}
         self._root_fund = [rs.root_to_fund(g) for g in self.roots]
         # the monomials by index (see `mono_index`), the first nonzero
-        # exponent of each, and `mult_gen` by index, filled as it is read
+        # exponent of each, the index step p^(n-1-k) of x_k, and the
+        # products x_g x^m by index, filled as they are read
         self.monomials = list(product(range(p), repeat=self.n))
         self.lead = [next((k for k, a in enumerate(m) if a), None)
                      for m in self.monomials]
+        self._step = [p ** (self.n - 1 - k) for k in range(self.n)]
         self.gen_index: list[list] = [[None] * self.dimension
                                       for _ in range(self.n)]
+        # T-weight of each monomial by index (sum of a_gamma * gamma, fund
+        # coords), and {weight: increasing indices}; the unit is alone at
+        # weight 0, so the other blocks are the basis of A_+ by weight
+        self.weights = [tuple(sum(a * f[t] for a, f in zip(m, self._root_fund))
+                              for t in range(rs.rank)) for m in self.monomials]
+        self.by_weight: dict[tuple, list] = {}
+        for i, wt in enumerate(self.weights):
+            self.by_weight.setdefault(wt, []).append(i)
 
     def _check_restricted(self):
         """(ad x_gamma)^p = 0: the adjoint operators are nilpotent of order
@@ -107,50 +118,6 @@ class RestrictedAlgebra:
 
     # -- multiplication ------------------------------------------------
 
-    def weight(self, mono: tuple) -> tuple:
-        """T-weight of x^a: sum of a_gamma * gamma (fundamental coords)."""
-        w = [0] * self.rs.rank
-        for k, a in enumerate(mono):
-            if a:
-                f = self._root_fund[k]
-                for t in range(self.rs.rank):
-                    w[t] += a * f[t]
-        return tuple(w)
-
-    def mult_gen(self, g: int, mono: tuple) -> dict:
-        """x_g * x^mono as {monomial: coeff mod p}."""
-        key = (g, mono)
-        cached = self._gen_cache.get(key)
-        if cached is not None:
-            return cached
-        p = self.p
-        h = next((k for k, a in enumerate(mono) if a), None)
-        if h is None or g <= h:
-            if mono[g] + 1 == p:
-                out = {}
-            else:
-                new = list(mono)
-                new[g] += 1
-                out = {tuple(new): 1}
-        else:
-            rest = list(mono)
-            rest[h] -= 1
-            rest = tuple(rest)
-            out = {}
-            # x_g x_h = x_h x_g + [x_g, x_h]
-            for t, c in self.mult_gen(g, rest).items():
-                for t2, c2 in self.mult_gen(h, t).items():
-                    out[t2] = (out.get(t2, 0) + c * c2) % p
-            br = self.bracket.get((h, g))
-            if br is not None:
-                k, cN = br
-                c = (-cN) % p  # [x_g, x_h] = -[x_h, x_g]
-                for t, c2 in self.mult_gen(k, rest).items():
-                    out[t] = (out.get(t, 0) + c * c2) % p
-            out = {t: c for t, c in out.items() if c}
-        self._gen_cache[key] = out
-        return out
-
     def mono_index(self, mono: tuple) -> int:
         """The index of x^mono: sum mono_k p^(n-1-k), its position in the
         lexicographic order of `monomials`."""
@@ -160,12 +127,37 @@ class RestrictedAlgebra:
         return i
 
     def mult_gen_index(self, g: int, i: int) -> tuple:
-        """x_g * x^(monomials[i]) as ((index, coeff), ...), in the order of
-        `mult_gen`, which it is read from once and kept in `gen_index`."""
-        out = self.gen_index[g][i] = tuple(
-            (self.mono_index(m), c)
-            for m, c in self.mult_gen(g, self.monomials[i]).items())
+        """x_g * x^(monomials[i]) as ((index, coeff mod p), ...), kept in
+        `gen_index`.  With h the first index where m_h > 0, x_g x^m is
+        already in PBW order when g <= h; otherwise x^m = x_h x^(m - e_h)
+        and x_g x_h = x_h x_g + [x_g, x_h]."""
+        out = self.gen_index[g][i]
+        if out is not None:
+            return out
+        p, step = self.p, self._step
+        h = self.lead[i]
+        if h is None or g <= h:
+            out = () if i // step[g] % p == p - 1 else ((i + step[g], 1),)
+        else:
+            rest = i - step[h]
+            acc: dict = {}
+            for t, c in self.mult_gen_index(g, rest):
+                for t2, c2 in self.mult_gen_index(h, t):
+                    acc[t2] = (acc.get(t2, 0) + c * c2) % p
+            br = self.bracket.get((h, g))
+            if br is not None:
+                k, cN = br
+                c = (-cN) % p  # [x_g, x_h] = -[x_h, x_g]
+                for t, c2 in self.mult_gen_index(k, rest):
+                    acc[t] = (acc.get(t, 0) + c * c2) % p
+            out = tuple((t, c) for t, c in acc.items() if c)
+        self.gen_index[g][i] = out
         return out
+
+    def mult_gen(self, g: int, mono: tuple) -> dict:
+        """x_g * x^mono as {monomial: coeff mod p}, read off `gen_index`."""
+        return {self.monomials[j]: c
+                for j, c in self.mult_gen_index(g, self.mono_index(mono))}
 
     def mult_mono(self, a: tuple, mono: tuple) -> dict:
         """x^a * x^mono as {monomial: coeff mod p}."""
@@ -196,9 +188,8 @@ class RestrictedAlgebra:
         return {t: c for t, c in out.items() if c}
 
 
-def build_algebra(J, p: int, rs: RootSystem,
-                  dim_budget: int = DEFAULT_DIM_BUDGET) -> RestrictedAlgebra:
-    return RestrictedAlgebra(J, p, rs, dim_budget)
+def build_algebra(J, p: int, rs: RootSystem) -> RestrictedAlgebra:
+    return RestrictedAlgebra(J, p, rs)
 
 
 # ----------------------------------------------------------------------
@@ -237,16 +228,18 @@ class MinimalResolution:
 
     # -- helpers -------------------------------------------------------
 
-    def _elem_weight_blocks(self, gen_weights):
-        """Keys of A^{gens} grouped by weight: {wt: [key, ...]}, in key
-        order."""
-        dim = self.alg.dimension
-        blocks: dict[tuple, list] = {}
-        for s, gw in enumerate(gen_weights):
-            for i, mw in enumerate(alg_monomials(self.alg).values()):
-                wt = tuple(g + m for g, m in zip(gw, mw))
-                blocks.setdefault(wt, []).append(s * dim + i)
-        return blocks
+    def _block(self, gens: dict, wt: tuple) -> list:
+        """Keys of the free module on `gens`, {weight: generator numbers},
+        at weight wt: by generator weight, then generator number, then
+        monomial index."""
+        alg = self.alg
+        dim, by_weight = alg.dimension, alg.by_weight
+        keys = []
+        for w in sorted(gens):
+            monos = by_weight.get(tuple(a - b for a, b in zip(wt, w)))
+            if monos:
+                keys.extend([s * dim + i for s in gens[w] for i in monos])
+        return keys
 
     def _apply(self, images, elem: dict) -> dict:
         """sum c x^mono images[s] over the terms c (s, mono) of elem: with a
@@ -289,7 +282,7 @@ class MinimalResolution:
         With h the first index where m_h > 0, x^m = x_h x^(m - e_h) in PBW
         order, and the key of x^(m - e_h) e_s is key - p^(n-1-h), so the
         image is x_h times the image one step lower, which only needs
-        `mult_gen`.  A memo serves one map `images`."""
+        `gen_index`.  A memo serves one map `images`."""
         out = memo.get(key)
         if out is not None:
             return out
@@ -326,23 +319,27 @@ class MinimalResolution:
         return span, kept, kernel
 
     def _lifting(self, k: int):
-        """(keys of F_k by weight, memo of d_k images, weight -> (span of
-        the d_k images of that block, the keys it kept)).  None of it
-        depends on the classes multiplied, so every Yoneda product on this
-        resolution shares it; the spans fill in as products reach them."""
+        """(generators of F_k by weight, memo of d_k images, weight ->
+        (span of the d_k images of that `_block`, the keys it kept)).
+        None of it depends on the classes multiplied, so every Yoneda
+        product on this resolution shares it; the spans fill in as
+        products reach them."""
         lifting = self._liftings.get(k)
         if lifting is None:
-            lifting = self._liftings[k] = (
-                self._elem_weight_blocks(self.stages[k].gen_weights), {}, {})
+            gens: dict[tuple, list] = {}
+            for s, wt in enumerate(self.stages[k].gen_weights):
+                gens.setdefault(wt, []).append(s)
+            lifting = self._liftings[k] = (gens, {}, {})
         return lifting
 
     def _build(self):
         alg = self.alg
-        self.stages.append(ResolutionStage(0, [(0,) * alg.rs.rank], []))
+        zero = (0,) * alg.rs.rank
+        self.stages.append(ResolutionStage(0, [zero], []))
         self._coded.append([])
         # stage-0 kernel: the augmentation ideal, basis = non-unit monomials
         kernel = {wt: [{i: 1} for i in monos]
-                  for wt, monos in _augmentation_monomials(alg).items()}
+                  for wt, monos in alg.by_weight.items() if wt != zero}
         for degree in range(1, self.max_degree + 1):
             kernel = self._stage(degree, kernel)
 
@@ -371,9 +368,7 @@ class MinimalResolution:
         self.stages.append(ResolutionStage(degree, gen_weights, diff))
         self._coded.append(diff)
         images: dict = {}  # memo of d(a g) for this stage only
-        found: dict[tuple, range] = {}       # weight -> generators there
-        below: dict[tuple, set] = {}         # weight -> generator weights below
-        monos = _augmentation_monomials(alg)  # weight -> non-unit monomials
+        found: dict[tuple, range] = {}  # weight -> generators there
         form = _height_form(alg.rs)
         # an image at weight w is read only by images at w + gamma, so it
         # leaves the memo once the heap passes height(w) + reach
@@ -393,9 +388,8 @@ class MinimalResolution:
                 span = self._augmented_span(kernel, wt)
                 elems = kernel[wt]
             else:
-                block = [s * dim + i for w in sorted(below.get(wt, ()))
-                         for s in found[w]
-                         for i in monos[tuple(x - y for x, y in zip(wt, w))]]
+                # wt is not in `found` yet: the block has no unit monomial
+                block = self._block(found, wt)
                 span, _, ker = self._d_block(degree, block, images)
                 done.append((height, block))
                 if ker:
@@ -412,9 +406,8 @@ class MinimalResolution:
             gen_weights.extend([wt] * len(gens))
             if top:
                 continue
-            for mw in monos:
+            for mw in alg.by_weight:
                 up = tuple(x + y for x, y in zip(wt, mw))
-                below.setdefault(up, set()).add(wt)
                 if up not in queued:
                     queued.add(up)
                     heapq.heappush(heap, (sum(map(mul, form, up)), up))
@@ -489,16 +482,6 @@ class MinimalResolution:
         return True
 
 
-def _augmentation_monomials(alg: RestrictedAlgebra) -> dict:
-    """{weight: the indices of the non-unit monomials of that weight, in
-    increasing order}: the basis of A_+ by weight."""
-    out: dict[tuple, list] = {}
-    for i, wt in enumerate(alg_monomials(alg).values()):
-        if i:
-            out.setdefault(wt, []).append(i)
-    return out
-
-
 def _height_form(rs: RootSystem) -> tuple:
     """Integer form on fundamental coordinates that is a positive multiple
     of the height (the sum of simple-root coordinates), so it grows along
@@ -507,13 +490,6 @@ def _height_form(rs: RootSystem) -> tuple:
             for j in range(rs.rank)]
     den = lcm(*(c.denominator for c in cols))
     return tuple(int(c * den) for c in cols)
-
-
-def alg_monomials(alg: RestrictedAlgebra) -> dict:
-    """{PBW exponent tuple: its T-weight}, in index (lexicographic) order."""
-    if getattr(alg, "_monomials", None) is None:
-        alg._monomials = {m: alg.weight(m) for m in alg.monomials}
-    return alg._monomials
 
 
 def ext_dims(alg: RestrictedAlgebra, max_degree: int = 4):
@@ -560,7 +536,7 @@ def yoneda_product(res: MinimalResolution, z1, z2):
                 for s in range(len(res.stages[d2].gen_weights))]
     for k in range(1, d1 + 1):
         src = res._coded[d2 + k]
-        tgt_blocks, d_images, d_blocks = res._lifting(k)
+        gens, d_images, d_blocks = res._lifting(k)
         g_images: dict = {}  # memo of a g_{k-1}(e_t), for this call and k
         maps = []
         for s, swt in enumerate(res.stages[d2 + k].gen_weights):
@@ -575,7 +551,7 @@ def yoneda_product(res: MinimalResolution, z1, z2):
             wt = tuple(a - b for a, b in
                        zip(swt, res.stages[d2].gen_weights[g2idx]))
             if wt not in d_blocks:
-                d_blocks[wt] = res._d_block(k, tgt_blocks.get(wt, []),
+                d_blocks[wt] = res._d_block(k, res._block(gens, wt),
                                             d_images)[:2]
             span, kept = d_blocks[wt]
             sol = span.express(rhs)

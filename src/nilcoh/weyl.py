@@ -202,19 +202,16 @@ def _cache_file(rs: RootSystem) -> Path:
 _GROUPS: dict[str, WeylGroup] = {}
 
 
-def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ORDER_BOUND,
-                    use_cache: bool = True) -> WeylGroup:
+def enumerate_group(rs: RootSystem) -> WeylGroup:
     """Enumerate the Weyl group by BFS in the Cayley graph (reduced words)."""
     if rs.label in _GROUPS:
         return _GROUPS[rs.label]
     expected = _WEYL_ORDERS[rs.letter](rs.rank)
-    if expected > bound:
+    if expected > DEFAULT_ORDER_BOUND:
         raise GroupTooLargeError(
-            f"|W({rs.label})| = {expected} exceeds bound {bound}")
+            f"|W({rs.label})| = {expected} exceeds bound {DEFAULT_ORDER_BOUND}")
 
-    group = None
-    if use_cache:
-        group = _load_cache(rs)
+    group = _load_cache(rs)
     if group is None:
         ident = _identity(rs.rank)
         elements = {ident: ()}
@@ -231,8 +228,7 @@ def enumerate_group(rs: RootSystem, bound: int = DEFAULT_ORDER_BOUND,
             frontier = nxt
         assert len(elements) == expected
         group = WeylGroup(rs, [WeylElement(m, w) for m, w in elements.items()])
-        if use_cache:
-            _store_cache(rs, group)
+        _store_cache(rs, group)
     _GROUPS[rs.label] = group
     return group
 

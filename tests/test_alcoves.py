@@ -85,7 +85,8 @@ def test_require_regime_bounds():
     b2 = build("B2")  # h = 4
     require_regime("modular", 3, b2, "kostant")  # p may reach h-1
     for context, J, p, bound in (("kostant", (), 2, 3), ("ring", (), 5, 6),
-                                 ("ring", (0,), 7, 9), ("ext", (), 3, 4)):
+                                 ("ring", (0,), 7, 9), ("ext", (), 3, 4),
+                                 ("weight-separation", (), 3, 4)):
         with pytest.raises(RegimeError) as exc:
             require_regime("modular", p, b2, context, J)
         assert exc.value.bound == bound

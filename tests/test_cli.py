@@ -51,6 +51,10 @@ def test_exit_code_2_on_gate_failure(capsys):
     assert code == 2
     assert "coprime" in err
     assert out == ""
+    code, out, err = run_cli(capsys, "character", "--type", "A2", "--p", "3")
+    assert code == 2
+    assert "modular mode requires p > h = 3" in err
+    assert out == ""
 
 
 def test_exit_code_2_on_bad_lambda(capsys):

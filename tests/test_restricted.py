@@ -13,7 +13,7 @@ from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
-                               _height_form, alg_monomials, build_algebra,
+                               _height_form, build_algebra,
                                ext_dims, find_class_by_weight,
                                square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
@@ -36,10 +36,18 @@ def test_composite_p_rejected():
         build_algebra((), 4, build("A1"))
 
 
-def test_multiplication_associative_spot_check():
-    alg = build_algebra((), 5, build("B2"))
+# G2 J=(1,) has structure constants 2 and 3 mod 5
+MULT_CASES = pytest.mark.parametrize("label,p,J", (
+    ("B2", 5, ()), ("A2", 3, ()), ("B2", 5, (0,)), ("A3", 3, (1,)),
+    ("G2", 5, (1,))), ids=("B2-p5", "A2-p3", "B2-p5-J0", "A3-p3-J1",
+                           "G2-p5-J1"))
+
+
+@MULT_CASES
+def test_multiplication_associative_spot_check(label, p, J):
+    alg = build_algebra(J, p, build(label))
     rng = random.Random(7)
-    monos = [tuple(rng.randrange(5) for _ in range(alg.n)) for _ in range(12)]
+    monos = [tuple(rng.randrange(p) for _ in range(alg.n)) for _ in range(12)]
     for a in monos[:4]:
         for b in monos[4:8]:
             for c in monos[8:]:
@@ -50,8 +58,10 @@ def test_multiplication_associative_spot_check():
                 assert left == right
 
 
-def test_commutator_reproduces_bracket():
-    alg = build_algebra((), 5, build("B2"))
+@MULT_CASES
+def test_commutator_reproduces_bracket(label, p, J):
+    alg = build_algebra(J, p, build(label))
+    assert alg.bracket
     for (a, b), (k, c) in alg.bracket.items():
         ea = tuple(1 if i == a else 0 for i in range(alg.n))
         eb = tuple(1 if i == b else 0 for i in range(alg.n))
@@ -60,9 +70,9 @@ def test_commutator_reproduces_bracket():
         rev = alg.multiply({eb: 1}, {ea: 1})
         diff = dict(comm)
         for m, v in rev.items():
-            diff[m] = (diff.get(m, 0) - v) % 5
+            diff[m] = (diff.get(m, 0) - v) % p
         diff = {m: v for m, v in diff.items() if v}
-        assert diff == {ek: c % 5}
+        assert diff == {ek: c % p}
 
 
 def test_a1_cyclic_pattern():
@@ -172,12 +182,13 @@ def _two_pass_stages(alg, max_degree):
     elements before them, weight by weight in sorted order; then the whole
     kernel of the new differential comes from `_d_block` on every weight
     block of the new stage.  Elements are int-keyed, as `_d_block` reads
-    and returns them; x_gamma k is formed by the tuple `mult_gen`."""
+    and returns them; x_gamma k is formed by the tuple view `mult_gen`,
+    and the weight blocks are listed here, not by `_block`."""
     res = MinimalResolution.__new__(MinimalResolution)
     res.alg, res.max_degree = alg, max_degree
     res.stages = [ResolutionStage(0, [(0,) * alg.rs.rank], [])]
     res._coded = [[]]
-    dim, weights = alg.dimension, list(alg_monomials(alg).values())
+    dim, weights = alg.dimension, alg.weights
     kernel = [{i: 1} for i in range(1, dim)]
     for degree in range(1, max_degree + 1):
         prev = res.stages[-1].gen_weights
@@ -207,7 +218,11 @@ def _two_pass_stages(alg, max_degree):
         res._coded.append(diff)
         res.stages.append(ResolutionStage(
             degree, gen_weights, [_decode(alg, elem) for elem in diff]))
-        blocks = res._elem_weight_blocks(gen_weights)
+        blocks = {}
+        for s, gw in enumerate(gen_weights):
+            for i, mw in enumerate(weights):
+                wt = tuple(a + b for a, b in zip(gw, mw))
+                blocks.setdefault(wt, []).append(s * dim + i)
         kernel = [elem for wt in sorted(blocks)
                   for elem in res._d_block(degree, blocks[wt])[2]]
     return res.stages
@@ -267,7 +282,7 @@ def test_memoised_image_matches_mult_mono(resolutions, case, data):
 
 
 def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
-    """The resolution multiplies by `mult_gen` alone, and each stage's
+    """The resolution multiplies by `gen_index` alone, and each stage's
     image memo is unreachable once the build ends."""
     calls = []
     mult_mono = RestrictedAlgebra.mult_mono
@@ -308,7 +323,7 @@ def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
         return sum(map(mul, form, wt))
 
     reach = max(height(f) for f in alg._root_fund)
-    mono_height = [height(w) for w in alg_monomials(alg).values()]
+    mono_height = [height(w) for w in alg.weights]
     depths, elements, misses = [], [0], [0]
     d_block, image = MinimalResolution._d_block, MinimalResolution._image
 
