@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .rootsystem import RootSystem
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 
 # The AdmissibilityProfile flags an l-th root of unity needs in each context.
 ADMISSIBLE = {
@@ -52,30 +52,23 @@ def require_prime(p, what: str) -> None:
         raise PreconditionError(f"{what} needs a prime p, got {p}")
 
 
-@dataclass(frozen=True)
-class LinkageDatum:
+class LinkageDatum(namedtuple("LinkageDatum", "w sigma modulus")):
     """lambda = w.0 + modulus * sigma, with sigma zero or minuscule."""
-    w: WeylElement
-    sigma: tuple
-    modulus: int
+    __slots__ = ()
 
     def reconstruct(self, rs: RootSystem) -> tuple:
         base = self.w.dot((0,) * rs.rank, rs)
         return tuple(b + self.modulus * s for b, s in zip(base, self.sigma))
 
 
-@dataclass(frozen=True)
-class AdmissibilityProfile:
-    modulus: int
-    odd: bool
-    gt_h: bool
-    ge_hminus1: bool
-    gt_2hminus2: bool
-    coprime_type_conditions: bool
-    base_coprime: bool
+class AdmissibilityProfile(namedtuple(
+        "AdmissibilityProfile", "modulus odd gt_h ge_hminus1 gt_2hminus2"
+        " coprime_type_conditions base_coprime")):
+    __slots__ = ()
 
     def flags(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "modulus"}
+        """Every field but the modulus, in field order."""
+        return dict(zip(self._fields[1:], self[1:]))
 
 
 def in_alcove(lam: tuple, p: int, rs: RootSystem, closed: bool = False) -> bool:

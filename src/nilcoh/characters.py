@@ -10,7 +10,6 @@ that assumption.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -141,14 +140,13 @@ def format_poincare(dims) -> str:
 # Levi simple characters (Freudenthal recursion)
 
 
-def _rho_j(rs: RootSystem, J) -> tuple:
-    """Half-sum of Phi_J^+, fundamental coordinates, as Fractions."""
-    tot = [Fraction(0)] * rs.rank
-    for beta in rs.phi_j_plus(J):
-        f = rs.root_to_fund(beta)
-        for k in range(rs.rank):
-            tot[k] += Fraction(f[k], 2)
-    return tuple(tot)
+def _j_dominant(mu: tuple, J) -> tuple:
+    """J as a sorted tuple, once mu is checked to be J-dominant."""
+    J = tuple(sorted(set(J)))
+    for i in J:
+        if mu[i] < 0:
+            raise ValueError(f"{mu} is not J-dominant for J={J}")
+    return J
 
 
 def _dominant_rep_ordinary(nu: tuple, J, rs: RootSystem) -> tuple:
@@ -168,11 +166,7 @@ def _dominant_rep_ordinary(nu: tuple, J, rs: RootSystem) -> tuple:
 
 def levi_simple_character(mu: tuple, J, rs: RootSystem) -> FormalCharacter:
     """Character of the Levi highest-weight simple L_J(mu), char-0 style."""
-    J = tuple(sorted(set(J)))
-    for i in J:
-        if mu[i] < 0:
-            raise ValueError(f"{mu} is not J-dominant for J={J}")
-    return _levi_character_cached(rs.label, tuple(mu), J)
+    return _levi_character_cached(rs.label, tuple(mu), _j_dominant(mu, J))
 
 
 @lru_cache(maxsize=None)
@@ -266,25 +260,18 @@ def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
     return FormalCharacter(out)
 
 
-def weyl_dimension_levi(mu: tuple, J, rs: RootSystem):
-    """Weyl dimension formula for the Levi: prod (mu+rho_J, gamma)/(rho_J, gamma)."""
-    J = tuple(sorted(set(J)))
-    if not J:
-        return 1
-    rho_j = _rho_j(rs, J)
-    num = Fraction(1)
-    den = Fraction(1)
-    for gamma in rs.phi_j_plus(J):
-        gf = rs.root_to_fund(gamma)
-        # inner with possibly half-integral weights: use doubled coords
-        mu2 = tuple(2 * Fraction(a) + 2 * b for a, b in zip(mu, rho_j))
-        mu2 = tuple(int(x) for x in mu2)
-        rho2 = tuple(int(2 * b) for b in rho_j)
-        num *= rs.inner(mu2, gf)
-        den *= rs.inner(rho2, gf)
-    val = num / den
-    assert val.denominator == 1
-    return int(val)
+def weyl_dimension_levi(mu: tuple, J, rs: RootSystem) -> int:
+    """dim L_J(mu) by Weyl's formula: the product over gamma in Phi_J^+ of
+    <mu + rho, gamma^vee> / <rho, gamma^vee>.  Each such gamma^vee lies in
+    the span of the J coroots, where rho pairs as rho_J does."""
+    num = den = 1
+    for gamma in rs.phi_j_plus(_j_dominant(mu, J)):
+        cor = rs.coroot_coords[rs.pos_index[gamma]]
+        num *= sum(map(mul, mu, cor)) + sum(cor)
+        den *= sum(cor)
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim
 
 
 # ----------------------------------------------------------------------

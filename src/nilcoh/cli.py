@@ -11,7 +11,6 @@ stderr), 1 internal error or a stdout closed early by its reader.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -102,6 +101,7 @@ def _flatten_rows(payload):
 
 
 def _emit_csv(payload):
+    import csv  # here, so that the other formats do not load it
     buf = io.StringIO()
     writer = csv.writer(buf)
     for key, val in sorted(payload.get("config", {}).items()):

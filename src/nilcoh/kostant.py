@@ -9,25 +9,26 @@ modular (p), quantum (l), or classical mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .alcoves import (PreconditionError, in_alcove, require_regime,
                       weak_linkage)
 from .characters import (FormalCharacter, GradedCharacter, euler_induction,
                          frobenius_twist, levi_simple_character,
-                         symmetric_character)
+                         symmetric_character, weyl_dimension_levi)
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
 
-@dataclass
+
 class KostantDecomposition:
     """H^j of the nilradical with simple coefficients: one entry per ^JW."""
-    rs: RootSystem
-    J: tuple
-    lam: tuple
-    mode: str
-    modulus: int | None
-    entries: list  # (WeylElement, degree, highest weight)
+
+    def __init__(self, rs: RootSystem, J: tuple, lam: tuple, mode: str,
+                 modulus: int | None, entries: list):
+        self.rs = rs
+        self.J = J
+        self.lam = lam
+        self.mode = mode
+        self.modulus = modulus
+        self.entries = entries  # (WeylElement, degree, highest weight)
 
     def degrees(self) -> dict:
         out: dict[int, list] = {}
@@ -49,7 +50,7 @@ class KostantDecomposition:
         top = max(deg for _, deg, _ in self.entries)
         dims = [0] * (top + 1)
         for w, deg, hw in self.entries:
-            dims[deg] += levi_simple_character(hw, self.J, self.rs).dim()
+            dims[deg] += weyl_dimension_levi(hw, self.J, self.rs)
         return dims
 
     def to_json(self) -> dict:
@@ -76,16 +77,18 @@ def kostant_decomposition(lam: tuple, J, rs: RootSystem, group: WeylGroup,
     return KostantDecomposition(rs, J, tuple(lam), mode, modulus, entries)
 
 
-@dataclass
 class BigradedCharacter:
     """Per-degree slabs (i, j) with 2i + j = n of the collapsed E_2 page."""
-    rs: RootSystem
-    J: tuple
-    lam: tuple
-    mode: str
-    modulus: int
-    max_degree: int
-    slabs: dict  # (i, j) -> FormalCharacter
+
+    def __init__(self, rs: RootSystem, J: tuple, lam: tuple, mode: str,
+                 modulus: int, max_degree: int, slabs: dict):
+        self.rs = rs
+        self.J = J
+        self.lam = lam
+        self.mode = mode
+        self.modulus = modulus
+        self.max_degree = max_degree
+        self.slabs = slabs  # (i, j) -> FormalCharacter
 
     def degree(self, n: int) -> FormalCharacter:
         chi = FormalCharacter()

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 from operator import mul
@@ -203,14 +202,15 @@ def build_algebra(J, p: int, rs: RootSystem) -> RestrictedAlgebra:
 # decodes its differential to {(s, monomial): coeff} once.
 
 
-@dataclass
 class ResolutionStage:
-    degree: int
-    gen_weights: list          # weight of each generator (fund coords)
-    differential: list         # per generator: element of the previous
-    # stage, {(s, monomial): coeff}; stage 0 has one generator of weight 0
-    # and differential [] -> k.  While a stage is built it holds its
-    # generators int-keyed, in the order found.
+    def __init__(self, degree: int, gen_weights: list, differential: list):
+        self.degree = degree
+        self.gen_weights = gen_weights  # weight of each generator (fund coords)
+        # per generator: element of the previous stage, {(s, monomial):
+        # coeff}; stage 0 has one generator of weight 0 and differential
+        # [] -> k.  While a stage is built it holds its generators
+        # int-keyed, in the order found.
+        self.differential = differential
 
 
 class MinimalResolution:

@@ -17,7 +17,7 @@ l = 1 its scalar is the classical sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .alcoves import PreconditionError, RegimeError, require_regime
@@ -29,20 +29,16 @@ from .weyl import WeylElement, WeylGroup, mask_bits
 # Scalars: sign * zeta^exponent
 
 
-@dataclass(frozen=True)
-class CycScalar:
+class CycScalar(namedtuple("CycScalar", "sign exponent ell")):
     """sign * zeta^exponent, zeta a primitive ell-th root of unity.
 
     ell = 1 models the classical case (every exponent is 0)."""
-    sign: int
-    exponent: int
-    ell: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __new__(cls, sign: int, exponent: int, ell: int):
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or 1")
-        object.__setattr__(self, "exponent",
-                           0 if self.sign == 0 else self.exponent % self.ell)
+        return tuple.__new__(cls, (sign, exponent % ell if sign else 0, ell))
 
     @classmethod
     def one(cls, ell=1):
@@ -163,12 +159,10 @@ def quantum_straighten(word: tuple, rs: RootSystem, ell: int):
 # Full ring model: polynomial part x exterior part
 
 
-@dataclass(frozen=True)
-class BasisClass:
+class BasisClass(namedtuple("BasisClass", "s_part w_part")):
     """s_part: exponent tuple over the nilradical roots (polynomial part);
     w_part: element of ^JW (exterior part)."""
-    s_part: tuple
-    w_part: WeylElement
+    __slots__ = ()
 
     def degree(self) -> int:
         return 2 * sum(self.s_part) + self.w_part.length

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from . import __version__ as TOOL_VERSION
@@ -29,11 +29,9 @@ from .rootsystem import RootSystem
 from .weyl import WeylGroup
 
 
-@dataclass(frozen=True)
-class Violation:
-    witnesses: tuple   # words or weights, JSON-ready
-    sigma: tuple
-    modulus: int
+class Violation(namedtuple("Violation", "witnesses sigma modulus")):
+    """witnesses: words or weights, JSON-ready."""
+    __slots__ = ()
 
     def to_json(self):
         return {"witnesses": list(self.witnesses), "sigma": list(self.sigma),

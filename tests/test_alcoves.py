@@ -76,6 +76,18 @@ def test_require_admissible_names_flags():
     assert "coprime" in str(exc.value)
 
 
+def test_flags_keys_and_order():
+    """`require_admissible` lists the failing flags in this order."""
+    profile, _ = admissibility(9, build("A2"), "weight-separation")
+    assert list(profile.flags()) == [
+        "odd", "gt_h", "ge_hminus1", "gt_2hminus2",
+        "coprime_type_conditions", "base_coprime"]
+    assert profile.flags()["coprime_type_conditions"] is False
+    with pytest.raises(RegimeError, match=r"violated flags: gt_h,"
+                       r" gt_2hminus2, coprime_type_conditions\)"):
+        require_admissible(3, build("A2"), "ring")
+
+
 def test_unknown_context_rejected():
     with pytest.raises(ValueError):
         admissibility(5, build("A2"), "nonsense")

@@ -20,7 +20,7 @@ from nilcoh.cli import main
 BENCH = Path(__file__).resolve().parent.parent / "nilbench"
 CHEAP_JOBS = ("suite-G2-p7", "oracle-A3-Q", "ring-A3-l7", "sumdot-A3-p5",
               "ext-A2-p7-d6", "ext-B2-p5-d5", "sumdot-B3-p7",
-              "levi-B3-p7-J0", "collisions-F4-p13")
+              "levi-B3-p7-J0", "collisions-F4-p13", "kostant-F4-J01")
 
 
 def _workloads():

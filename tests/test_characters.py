@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nilcoh.characters import (FormalCharacter, GradedCharacter,
                                euler_induction, format_poincare,
                                frobenius_twist, levi_simple_character,
@@ -23,6 +26,19 @@ def test_levi_simple_dims_match_weyl_formula():
         full = tuple(range(rs.rank))
         chi = levi_simple_character(mu, full, rs)
         assert chi.dim() == weyl_dimension_levi(mu, full, rs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3"]), st.data())
+def test_levi_dims_are_weyl_dims(label, data):
+    """Freudenthal's character and Weyl's dimension formula agree on every
+    Levi and every J-dominant weight."""
+    rs = build(label)
+    J = tuple(i for i in range(rs.rank) if data.draw(st.booleans()))
+    mu = tuple(data.draw(st.integers(0 if i in J else -4, 4))
+               for i in range(rs.rank))
+    assert levi_simple_character(mu, J, rs).dim() == \
+        weyl_dimension_levi(mu, J, rs)
 
 
 def test_a2_adjoint_zero_weight():

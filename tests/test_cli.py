@@ -296,6 +296,33 @@ def test_ext_does_not_load_openssl(tmp_path):
     assert proc.stderr.decode().splitlines()[-1] == "(0, False)"
 
 
+def _loaded_by(statement, tmp_path) -> set:
+    """The modules `statement` adds to those the interpreter starts with."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              f"{statement}\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_subprocess_env(tmp_path), capture_output=True,
+                          text=True, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_import_footprint(tmp_path):
+    """The package init loads no submodule, so a caller that needs only
+    root systems and Weyl groups pays for those (and `linalg`, which
+    inverts the Cartan matrix); the CLI loads every module it dispatches
+    to, but not `dataclasses` or `csv`."""
+    weyl_only = _loaded_by("import nilcoh.rootsystem, nilcoh.weyl", tmp_path)
+    assert {m for m in weyl_only if m.startswith("nilcoh")} == {
+        "nilcoh", "nilcoh.linalg", "nilcoh.rootsystem", "nilcoh.weyl"}
+    cli = _loaded_by("import nilcoh.cli", tmp_path)
+    assert not {"dataclasses", "csv"} & cli
+    assert {f"nilcoh.{m}" for m in (
+        "weyl", "verify", "koszul", "linalg", "restricted", "ring",
+        "characters", "kostant")} <= cli
+
+
 def test_closed_stdout_prints_no_traceback(tmp_path):
     """A reader that stops early (`| head -c 100`) closes the pipe while the
     payload, 160 kB here, is still being written."""

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcoh.alcoves import PreconditionError, weak_linkage
 from nilcoh.characters import FormalCharacter, symmetric_character
@@ -21,6 +23,18 @@ def test_a2_full_decomposition():
     weights = sorted(hw for _, hw in by_deg[1])
     # -alpha1 = (-2, 1), -alpha2 = (1, -2)
     assert weights == [(-2, 1), (1, -2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3"]), st.data())
+def test_poincare_is_freudenthal_sum(label, data):
+    """`poincare` takes each L_J(w.lam) dimension from Weyl's formula;
+    `character` expands the same entries by Freudenthal's recursion."""
+    rs, g = _setup(label)
+    J = tuple(i for i in range(rs.rank) if data.draw(st.booleans()))
+    lam = tuple(data.draw(st.integers(0, 3)) for _ in range(rs.rank))
+    kd = kostant_decomposition(lam, J, rs, g)
+    assert kd.poincare() == kd.character().dims()
 
 
 def test_a2_parabolic_decomposition():

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcoh.alcoves import PreconditionError
+from nilcoh.alcoves import LinkageDatum, PreconditionError, admissibility
 from nilcoh.ring import (BasisClass, CohomologyRing, CycScalar,
                          check_ring_laws, defining_relations_hold,
                          mask_scalar, merge_sign, nil_product,
                          quantum_nil_product, quantum_straighten,
                          square_free_basis, straightening_confluent)
 from nilcoh.rootsystem import build
+from nilcoh.verify import Violation
 from nilcoh.weyl import enumerate_group, mask_bits
 
 
@@ -24,6 +25,47 @@ def test_cyc_scalar_arithmetic():
     assert CycScalar.zero(5) * a == CycScalar.zero(5)
     assert (-a) == CycScalar(1, 3, 5)
     assert CycScalar(1, 7, 1).exponent == 0  # classical modulus
+
+
+def test_cyc_scalar_normal_form():
+    for sign in (2, -2):
+        with pytest.raises(ValueError, match="sign must be -1, 0 or 1"):
+            CycScalar(sign, 0, 5)
+    assert CycScalar(-1, 13, 5).exponent == 3
+    assert CycScalar(1, -1, 5).exponent == 4
+    assert CycScalar(0, 3, 5) == CycScalar.zero(5)
+    assert CycScalar(0, 3, 5).exponent == 0
+    # equal values are equal dict keys
+    assert CycScalar(1, 12, 5) == CycScalar(1, 2, 5)
+    assert hash(CycScalar(1, 12, 5)) == hash(CycScalar(1, 2, 5))
+    g = enumerate_group(build("A2"))
+    s1 = g.simple[0]
+    assert hash(BasisClass((1, 0, 0), s1)) == hash(BasisClass((1, 0, 0), s1))
+    assert len({BasisClass((1, 0, 0), s1), BasisClass((1, 0, 0), s1),
+                BasisClass((0, 0, 0), s1)}) == 2
+
+
+def _value_record(name):
+    """An instance of the named record and one of its fields."""
+    rs = build("A2")
+    w = enumerate_group(rs).identity
+    return {"CycScalar": (CycScalar(-1, 2, 5), "exponent"),
+            "BasisClass": (BasisClass((0, 1, 0), w), "s_part"),
+            "Violation": (Violation(((1,), (2,)), (0, 0), 5), "sigma"),
+            "LinkageDatum": (LinkageDatum(w, (0, 0), 5), "w"),
+            "AdmissibilityProfile": (admissibility(7, rs, "base")[0],
+                                     "odd")}[name]
+
+
+@pytest.mark.parametrize("name", ["CycScalar", "BasisClass", "Violation",
+                                  "LinkageDatum", "AdmissibilityProfile"])
+def test_value_records_are_frozen(name):
+    """Each is a dict key or a certificate field: no field may change."""
+    record, field = _value_record(name)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_merge_sign():
