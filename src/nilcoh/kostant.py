@@ -69,6 +69,8 @@ def kostant_decomposition(lam: tuple, J, rs: RootSystem, group: WeylGroup,
     """Decompose H^j(u_J, L(lam)) as a sum of Levi simples L_J(w . lam)."""
     J = tuple(sorted(set(J)))
     require_regime(mode, modulus, rs, "kostant")
+    if not rs.is_dominant(lam):
+        raise PreconditionError(f"lambda must be dominant, got {tuple(lam)}")
     if mode != "classical" and not in_alcove(lam, modulus, rs, closed=True):
         raise PreconditionError("lambda must lie in the closed bottom alcove")
     entries = []

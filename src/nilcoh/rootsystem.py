@@ -109,6 +109,8 @@ class RootSystem:
         self.label = f"{letter}{rank}"
         self.cartan = tuple(tuple(r) for r in _cartan_matrix(letter, rank))
         self.d = tuple(_symmetrizers([list(r) for r in self.cartan]))
+        # alpha_i in fundamental coordinates: column i of the Cartan matrix
+        self._simple_fund = tuple(zip(*self.cartan))
         self._all_roots = self._reflection_closure()
         self.rho = (1,) * rank
         self.positive_roots = self._convex_order()
@@ -151,19 +153,15 @@ class RootSystem:
 
     def _w0_word(self) -> tuple:
         """Reduced word for w_0, by driving rho to -rho (smallest descent first)."""
-        mu = list(self.rho)
+        mu = self.rho
         applied = []
         while True:
-            for i in range(self.rank):
-                if mu[i] > 0:
-                    c = mu[i]
-                    for k in range(self.rank):
-                        mu[k] -= c * self.cartan[k][i]
-                    applied.append(i)
-                    break
-            else:
+            i = next((i for i in range(self.rank) if mu[i] > 0), None)
+            if i is None:
                 break
-        assert tuple(mu) == tuple(-x for x in self.rho)
+            mu = self.reflect(mu, i)
+            applied.append(i)
+        assert mu == tuple(-x for x in self.rho)
         return tuple(reversed(applied))
 
     def _convex_order(self) -> tuple:
@@ -295,7 +293,12 @@ class RootSystem:
     # derived data
 
     def simple_root_fund(self, i: int) -> tuple:
-        return tuple(self.cartan[k][i] for k in range(self.rank))
+        return self._simple_fund[i]
+
+    def reflect(self, mu: tuple, i: int) -> tuple:
+        """s_i mu = mu - <mu, alpha_i^vee> alpha_i, in fundamental coordinates."""
+        c = mu[i]
+        return tuple(m - c * a for m, a in zip(mu, self._simple_fund[i]))
 
     def fundamental_weight(self, i: int) -> tuple:
         return tuple(1 if k == i else 0 for k in range(self.rank))

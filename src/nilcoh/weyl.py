@@ -2,8 +2,11 @@
 
 Elements are canonicalized by their action matrix on fundamental-weight
 coordinates (exact integer matrices), so equality and hashing never depend
-on word choice.  Each element keeps the reduced word along which breadth-
-first enumeration first reached it.
+on word choice.  Every group, enumerated or loaded, is built by
+`_from_words` from one reduced word per element.  Breadth-first search
+finds the words with each w keyed by w^-1 rho: (w s_i)^-1 rho =
+s_i (w^-1 rho), and w s_i > w iff (w^-1 rho)_i > 0 (W. Casselman,
+"Machine calculations in Weyl groups", Invent. Math. 116, 1994).
 
 All of the Weyl layer is integer arithmetic, read off the image w rho of
 the dominant weight rho (fundamental coordinates):
@@ -15,11 +18,10 @@ the dominant weight rho (fundamental coordinates):
 Inversion sets are kept as int bitmasks over the convex order of the
 positive roots, filled the first time an element's set is asked for.
 
-Enumerations are cached on disk, keyed by Cartan type; the cache directory is
-taken from the NILCOH_CACHE environment variable (default ./.nilcoh-cache).
-A cache file that fails validation (wrong order, repeated matrices, missing
-generators, a word that does not multiply out to its matrix or is not
-reduced) is ignored and the group is recomputed.
+Enumerations are cached on disk as their words, one file per Cartan type,
+in the directory NILCOH_CACHE (default ./.nilcoh-cache).  Loading rebuilds
+the group through `_from_words`; a file it refuses is ignored and the
+group is recomputed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from .rootsystem import RootSystem
 
-DEFAULT_ORDER_BOUND = 10 ** 7
+DEFAULT_ORDER_BOUND = 10 ** 6
 
 
 class GroupTooLargeError(RuntimeError):
@@ -93,9 +95,9 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _times_simple(m: tuple, i: int, rs: RootSystem) -> tuple:
-    """m * s_i.  (s_i mu)_k = mu_k - mu_i a_ki, so s_i differs from the
-    identity only in column i."""
-    col = [row[i] for row in rs.cartan]
+    """m * s_i.  s_i (`RootSystem.reflect`) differs from the identity only
+    in column i, which is e_i - alpha_i."""
+    col = rs.simple_root_fund(i)
     return tuple(row[:i] + (row[i] - sum(map(mul, row, col)),) + row[i + 1:]
                  for row in m)
 
@@ -203,7 +205,7 @@ _GROUPS: dict[str, WeylGroup] = {}
 
 
 def enumerate_group(rs: RootSystem) -> WeylGroup:
-    """Enumerate the Weyl group by BFS in the Cayley graph (reduced words)."""
+    """The Weyl group, loaded from the disk cache or enumerated by BFS."""
     if rs.label in _GROUPS:
         return _GROUPS[rs.label]
     expected = _WEYL_ORDERS[rs.letter](rs.rank)
@@ -213,24 +215,59 @@ def enumerate_group(rs: RootSystem) -> WeylGroup:
 
     group = _load_cache(rs)
     if group is None:
-        ident = _identity(rs.rank)
-        elements = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                word = elements[m]
-                for i in range(rs.rank):
-                    m2 = _times_simple(m, i, rs)
-                    if m2 not in elements:
-                        elements[m2] = word + (i,)
-                        nxt.append(m2)
-            frontier = nxt
-        assert len(elements) == expected
-        group = WeylGroup(rs, [WeylElement(m, w) for m, w in elements.items()])
+        group = _from_words(rs, _bfs_words(rs))
+        assert group is not None
         _store_cache(rs, group)
     _GROUPS[rs.label] = group
     return group
+
+
+def _bfs_words(rs: RootSystem) -> list[tuple]:
+    """One reduced word per element, in breadth-first order, keyed by
+    v = w^-1 rho; only ascents (v_i > 0) are followed, as a descent leads
+    back to the level before."""
+    words = {rs.rho: ()}
+    frontier = [rs.rho]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            word = words[v]
+            for i, c in enumerate(v):
+                if c > 0:
+                    v2 = rs.reflect(v, i)
+                    if v2 not in words:
+                        words[v2] = word + (i,)
+                        nxt.append(v2)
+        frontier = nxt
+    return list(words.values())
+
+
+def _from_words(rs: RootSystem, words) -> WeylGroup | None:
+    """The group whose elements carry `words`, in order, or None.
+
+    Each word is an earlier word times s_i with i an ascent (v_i > 0 for
+    its key v = w^-1 rho), so it is reduced; its matrix and key are the
+    prefix's times s_i.  Keys must be distinct, and |W| of them."""
+    if len(words) != _WEYL_ORDERS[rs.letter](rs.rank):
+        return None
+    built = {}  # word -> (matrix, v)
+    keys = set()
+    elements = []
+    for word in map(tuple, words):
+        if word:
+            prefix, i = built.get(word[:-1]), word[-1]
+            if prefix is None or type(i) is not int or \
+                    not 0 <= i < rs.rank or prefix[1][i] <= 0:
+                return None
+            m, v = _times_simple(prefix[0], i, rs), rs.reflect(prefix[1], i)
+        else:
+            m, v = _identity(rs.rank), rs.rho
+        if v in keys:
+            return None
+        keys.add(v)
+        built[word] = m, v
+        elements.append(WeylElement(m, word))
+    return WeylGroup(rs, elements)
 
 
 def _load_cache(rs: RootSystem) -> WeylGroup | None:
@@ -238,56 +275,13 @@ def _load_cache(rs: RootSystem) -> WeylGroup | None:
     if not path.exists():
         return None
     try:
-        data = json.loads(path.read_text(), parse_float=_reject_float)
+        data = json.loads(path.read_text())
         if data.get("label") != rs.label or \
                 data.get("cartan") != [list(r) for r in rs.cartan]:
             return None
-        elements = [WeylElement(tuple(map(tuple, entry["matrix"])),
-                                tuple(entry["word"]))
-                    for entry in data["elements"]]
-        if not _valid_elements(rs, elements):
-            return None
-    except (ValueError, OSError, KeyError, TypeError, AttributeError,
-            IndexError):
+        return _from_words(rs, [entry["word"] for entry in data["elements"]])
+    except (ValueError, OSError, KeyError, TypeError, AttributeError):
         return None
-    return WeylGroup(rs, elements)
-
-
-def _reject_float(text: str):
-    raise ValueError(f"non-integer entry {text} in Weyl cache")
-
-
-def _valid_elements(rs: RootSystem, elements: list[WeylElement]) -> bool:
-    """The cached elements are exactly W, each with a reduced word.
-
-    Checks the order, distinct matrices, and that each word's prefix is a
-    cached element whose matrix times s_last is this element's matrix (so
-    by induction every word multiplies out to its matrix, identity and
-    generators included) and whose (rho, w rho) is larger (so each step
-    lengthens the element and every word is reduced).  O(|W| rank^2)."""
-    if len(elements) != _WEYL_ORDERS[rs.letter](rs.rank):
-        return False
-    by_word = {w.word: w for w in elements}
-    if len(by_word) != len(elements) or \
-            len({w.matrix for w in elements}) != len(elements):
-        return False
-    # D (rho, w rho) = sum_i D (rho, omega_i) (w rho)_i
-    rho_row = [rs.inner_scaled(rs.rho, rs.fundamental_weight(i))
-               for i in range(rs.rank)]
-    height = {w.word: sum(map(mul, rho_row, w.act_rho())) for w in elements}
-    if by_word.get(()) is None or by_word[()].matrix != _identity(rs.rank):
-        return False
-    for w in elements:
-        if not w.word:
-            continue
-        parent = by_word.get(w.word[:-1])
-        i = w.word[-1]
-        if parent is None or not 0 <= i < rs.rank:
-            return False
-        if _times_simple(parent.matrix, i, rs) != w.matrix or \
-                height[parent.word] <= height[w.word]:
-            return False
-    return True
 
 
 def _store_cache(rs: RootSystem, group: WeylGroup) -> None:
@@ -295,8 +289,8 @@ def _store_cache(rs: RootSystem, group: WeylGroup) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"label": rs.label, "cartan": [list(r) for r in rs.cartan],
-                   "elements": [{"matrix": [list(r) for r in w.matrix],
-                                 "word": list(w.word)} for w in group.elements]}
+                   "elements": [{"word": list(w.word)}
+                                for w in group.elements]}
         # write a sibling temp file and rename it, so a reader never sees
         # a half-written cache
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -202,6 +202,21 @@ def test_exit_code_2_on_weyl_group_too_large(capsys):
                         "|W(E8)| = 696729600 exceeds bound")
 
 
+def test_exit_code_2_on_weyl_group_e7(capsys):
+    _assert_input_error(capsys, ("weyl", "--type", "E7"),
+                        "|W(E7)| = 2903040 exceeds bound 1000000")
+
+
+@pytest.mark.parametrize("argv", (("--lambda=-1,0",),
+                                  ("--lambda=-1,0", "--p", "5"),
+                                  ("--lambda=-1,0", "--l", "7"),
+                                  ("--J", "0", "--lambda=-3,0"),
+                                  ("--J", "0", "--lambda=0,-3")))
+def test_exit_code_2_on_kostant_non_dominant_lambda(capsys, argv):
+    _assert_input_error(capsys, ("kostant", "--type", "A2") + argv,
+                        "lambda must be dominant")
+
+
 def test_exit_code_2_on_kostant_group_too_large(capsys):
     _assert_input_error(capsys, ("kostant", "--type", "E8", "--p", "31",
                                  "--lambda", "0,0,0,0,0,0,0,0"),

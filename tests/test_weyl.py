@@ -236,3 +236,81 @@ def test_damaged_cache_truncated_file_is_recomputed(tmp_path, monkeypatch):
 def test_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
     _cached_group(tmp_path, monkeypatch, "B3")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["weyl-B3.json"]
+
+
+def _elements(g):
+    return [(w.matrix, w.word) for w in g.elements]
+
+
+def _matrix_keyed_bfs(rs):
+    """The enumeration before it was keyed by w^-1 rho: breadth-first
+    search over action matrices, m -> m s_i for every i in turn."""
+    n = rs.rank
+    # (s_i mu)_k = mu_k - mu_i a_ki
+    gens = [tuple(tuple(int(k == j) - (j == i) * rs.cartan[k][i]
+                        for j in range(n)) for k in range(n))
+            for i in range(n)]
+    ident = tuple(tuple(int(k == j) for j in range(n)) for k in range(n))
+    found = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i, s in enumerate(gens):
+                m2 = tuple(tuple(sum(row[k] * s[k][j] for k in range(n))
+                                 for j in range(n)) for row in m)
+                if m2 not in found:
+                    found[m2] = found[m] + (i,)
+                    nxt.append(m2)
+        frontier = nxt
+    return list(found.items())
+
+
+@pytest.mark.parametrize("label", ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C3", "D4", "G2", "F4"))
+def test_keyed_enumeration_matches_matrix_bfs(label):
+    rs = build(label)
+    expect = _matrix_keyed_bfs(rs)
+    assert _elements(weyl._from_words(rs, weyl._bfs_words(rs))) == expect
+    assert _elements(enumerate_group(rs)) == expect
+
+
+def test_cache_stores_words_only(tmp_path, monkeypatch):
+    path, data = _cached_group(tmp_path, monkeypatch, "B3")
+    assert sorted(data) == ["cartan", "elements", "label"]
+    assert all(list(entry) == ["word"] for entry in data["elements"])
+    assert _elements(weyl._load_cache(build("B3"))) == \
+        _elements(enumerate_group(build("B3")))
+
+
+def test_cache_with_matrices_still_loads(tmp_path, monkeypatch):
+    # the earlier format stored each element's matrix next to its word
+    path, data = _cached_group(tmp_path, monkeypatch, "F4")
+    g = enumerate_group(build("F4"))
+    data["elements"] = [{"matrix": [list(r) for r in w.matrix],
+                         "word": list(w.word)} for w in g.elements]
+    path.write_text(json.dumps(data))
+    assert _elements(weyl._load_cache(build("F4"))) == _elements(g)
+
+
+# B2 words: s1 s2 is an ascent of s1; s1 s2 s2 = s1 is shorter than s1 s2;
+# s2 s1 s2 is already an element, so a second copy repeats its key
+BAD_B2_WORDS = {"float": ([0, 1], [0, 1.0]), "bool": ([0, 1], [0, True]),
+                "negative": ([0, 1], [0, -1]), "rank": ([0, 1], [0, 2]),
+                "descent": ([0, 1, 0], [0, 1, 1]),
+                "repeat": ([0, 1, 0, 1], [1, 0, 1])}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_B2_WORDS))
+def test_damaged_cache_bad_word_is_recomputed(tmp_path, monkeypatch, case):
+    path, data = _cached_group(tmp_path, monkeypatch, "B2")
+    old, new = BAD_B2_WORDS[case]
+    for entry in data["elements"]:
+        if entry["word"] == old:
+            entry["word"] = new
+    path.write_text(json.dumps(data))
+    rs = build("B2")
+    assert weyl._load_cache(rs) is None
+    g = _reload("B2")
+    assert g.length_polynomial() == [1, 2, 2, 2, 1]
+    assert _elements(weyl._load_cache(rs)) == _elements(g)
