@@ -11,6 +11,20 @@ height, in the manner of R. Bruner, "Calculation of large Ext modules"
 generators of lower weight are computed once, and give both the next
 kernel and the span of A_+K from which the new generators are chosen.
 
+Each stage stops at the May bound.  May's filtration gives the
+Friedlander-Parshall spectral sequence E_2^{2i,j} = S^i(u_J*)^(1) (x)
+H^j(u_J, k) => H^{2i+j}((U_J)_1, k) (Friedlander-Parshall, Amer. J. Math.
+108, 1986; J. P. May, J. Algebra 3, 1966), which is T-equivariant, so no
+T-weight of Ext^n has height above H_n (`_may_bound`).  Stage n visits only
+the weights of height at most H_(n+1) (H_n at the top stage): its own
+generators lie at most at H_n, and the kernel it hands up is read only where
+stage n+1 chooses generators.  A is graded by the positive root lattice, so
+what a stage computes at a weight reads only that weight and lower ones, and
+the cut changes nothing below it.  Above H_n the previous stage handed up
+no kernel, so a weight there leaves no generator and pushes no weight above
+it.  The top stage needs no next kernel and spans A_+K by x_gamma K over
+the roots gamma that generate A alone (`generating_roots`).
+
 Each image is derived from one a step lower, as in Bruner's scheme: with h
 the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
 d(x^a g) = x_h d(x^(a - e_h) g).  The lower image has a weight of smaller
@@ -75,6 +89,12 @@ class RestrictedAlgebra:
         self.bracket = {ab: (k, val % p) for ab, (k, val)
                         in nilradical_constants(rs, self.roots).items()}
         self._check_restricted()
+        # the positions gamma that no bracket with a nonzero constant
+        # reaches: every other x_k is c^-1 [x_a, x_b] of lower roots, so
+        # these x_gamma generate u(u_J)
+        targets = {k for k, c in self.bracket.values() if c}
+        self.generating_roots = tuple(g for g in range(self.n)
+                                      if g not in targets)
         self._mono_cache: dict = {}
         self._root_fund = [rs.root_to_fund(g) for g in self.roots]
         # the monomials by index (see `mono_index`), the first nonzero
@@ -356,7 +376,15 @@ class MinimalResolution:
         without combinations, are the new generators.  A new generator's
         image lies outside A_+K, so leaving it out of the block changes no
         kept set and no combination.  The top stage needs no next kernel
-        and spans A_+K by x_gamma k alone."""
+        and spans A_+K by x_gamma k alone (`_augmented_span`).
+
+        Only weights of height at most the May bound H_(degree+1) are
+        visited (H_degree at the top stage): no generator of this stage
+        lies above H_degree, and the next stage reads the kernel only up
+        to H_(degree+1).  The previous stage stopped `kernel` at H_degree,
+        so a weight above that has no kernel elements here and no
+        generators, though the span of its block need not be empty; such
+        a weight is skipped, and pushes no weight above it."""
         alg = self.alg
         dim = alg.dimension
         top = degree == self.max_degree
@@ -372,12 +400,17 @@ class MinimalResolution:
         form = _height_form(alg.rs)
         # an image at weight w is read only by images at w + gamma, so it
         # leaves the memo once the heap passes height(w) + reach
-        reach = max((sum(map(mul, form, f)) for f in alg._root_fund),
-                    default=0)
+        reach = max(_root_heights(alg), default=0)
+        # no generator of this stage or the next lies above the May bound
+        cap = _may_bound(alg, min(degree + 1, self.max_degree))
+        # the monomial weights by height, to push the weights above a
+        # generator up to the cap
+        ups = sorted((sum(map(mul, form, mw)), mw) for mw in alg.by_weight)
         done: deque = deque()  # (height, block) of each weight done
-        heap = [(sum(map(mul, form, wt)), wt) for wt in kernel]
+        heap = [(h, wt) for wt in kernel
+                if (h := sum(map(mul, form, wt))) <= cap]
         heapq.heapify(heap)
-        queued = set(kernel)
+        queued = {wt for _, wt in heap}
         next_kernel: dict[tuple, list] = {}
         while heap:
             height, wt = heapq.heappop(heap)
@@ -396,21 +429,27 @@ class MinimalResolution:
                     next_kernel[wt] = ker
                 span.drop_combinations()
                 elems = kernel.pop(wt, ())
-            # the kernel elements at wt are a basis of K there, so a span
-            # of their number is all of K and leaves no new generator
+            # up to the previous stage's cap the kernel elements at wt are
+            # a basis of K there, so a span of their number is all of K and
+            # leaves no new generator; above it the previous stage handed
+            # up no kernel, elems is empty and the span need not be
             if span.size == len(elems):
                 continue
             gens = [elem for elem in elems if span.add(elem) is None]
+            if not gens:
+                continue
             found[wt] = range(len(diff), len(diff) + len(gens))
             diff.extend(gens)
             gen_weights.extend([wt] * len(gens))
             if top:
                 continue
-            for mw in alg.by_weight:
+            for mh, mw in ups:
+                if height + mh > cap:
+                    break
                 up = tuple(x + y for x, y in zip(wt, mw))
                 if up not in queued:
                     queued.add(up)
-                    heapq.heappush(heap, (sum(map(mul, form, up)), up))
+                    heapq.heappush(heap, (height + mh, up))
 
         # number the generators by weight, then in the order found
         order = sorted(range(len(diff)), key=gen_weights.__getitem__)
@@ -432,13 +471,17 @@ class MinimalResolution:
 
     def _augmented_span(self, kernel: dict, wt: tuple) -> Span:
         """Span of A_+K at wt, without combinations: x_gamma k for each
-        kernel element k at weight wt - gamma.  It stops once it has as
-        many rows as there are kernel elements at wt."""
+        generating root gamma (`RestrictedAlgebra.generating_roots`) and
+        each kernel element k at weight wt - gamma.  Those x_gamma generate
+        A, so A_+ = sum x_gamma A and A_+K = sum x_gamma K; the other roots
+        add no row.  It stops once it has as many rows as there are kernel
+        elements at wt."""
         alg = self.alg
         span = Span(alg.p)
         span.drop_combinations()
         full = len(kernel[wt])
-        for g, gf in enumerate(alg._root_fund):
+        for g in alg.generating_roots:
+            gf = alg._root_fund[g]
             for elem in kernel.get(tuple(a - b for a, b in zip(wt, gf)), ()):
                 span.add(self._times(g, elem))
                 if span.size == full:
@@ -490,6 +533,27 @@ def _height_form(rs: RootSystem) -> tuple:
             for j in range(rs.rank)]
     den = lcm(*(c.denominator for c in cols))
     return tuple(int(c * den) for c in cols)
+
+
+def _root_heights(alg: RestrictedAlgebra) -> list:
+    """The height of each nilradical root in `_height_form` units."""
+    form = _height_form(alg.rs)
+    return [sum(map(mul, form, f)) for f in alg._root_fund]
+
+
+def _may_bound(alg: RestrictedAlgebra, n: int) -> int:
+    """H_n, in `_height_form` units: no T-weight of Ext^n has larger height.
+
+    May's filtration gives the Friedlander-Parshall spectral sequence
+    E_2^{2i,j} = S^i(u_J*)^(1) (x) H^j(u_J, k) => H^{2i+j}((U_J)_1, k), and
+    H^j(u_J, k) is a subquotient of Lambda^j(u_J*).  So H_n is the largest
+    p i R + (the sum of the j largest root heights) over 2i + j = n and
+    j <= N, R the largest root height; 0 for an empty nilradical."""
+    heights = sorted(_root_heights(alg), reverse=True)
+    top = heights[0] if heights else 0
+    return max((alg.p * i * top + sum(heights[:n - 2 * i])
+                for i in range(n // 2 + 1) if n - 2 * i <= len(heights)),
+               default=0)
 
 
 def ext_dims(alg: RestrictedAlgebra, max_degree: int = 4):

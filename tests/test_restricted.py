@@ -1,6 +1,7 @@
 import copy
 import gc
 import inspect
+import math
 import random
 from operator import mul
 
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcoh import restricted
 from nilcoh.alcoves import PreconditionError
 from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
-                               _height_form, build_algebra,
+                               _height_form, _may_bound, build_algebra,
                                ext_dims, find_class_by_weight,
                                square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
@@ -349,3 +351,105 @@ def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
     MinimalResolution(alg, degree)
     assert depths and max(depths) <= reach
     assert misses[0] == elements[0] > 0
+
+
+# -- the May bound and the generating roots --------------------------------
+
+
+# every case whose build without the cap takes at most about 2 s, and the
+# p = 2, 3 cases where some structure constants vanish mod p
+CAP_CASES = (("A1", 2, (), 6), ("A1", 3, (), 6), ("A2", 2, (), 6),
+             ("A2", 3, (), 6), ("A2", 5, (), 6), ("A3", 2, (), 5),
+             ("B2", 5, (), 5), ("B2", 5, (0,), 6), ("B2", 7, (), 4),
+             ("A3", 3, (1,), 4), ("A3", 5, (0, 1), 5), ("B2", 2, (), 6),
+             ("G2", 2, (), 5), ("G2", 3, (), 4), ("G2", 3, (1,), 4))
+CAP_IDS = tuple(f"{label}-p{p}{'-J' if J else ''}{''.join(map(str, J))}"
+                f"-d{degree}" for label, p, J, degree in CAP_CASES)
+
+
+@pytest.fixture(scope="module")
+def uncapped():
+    """Each CAP_CASES resolution built with `_may_bound` patched to
+    infinity, so every stage visits every weight; built on first use."""
+    built = {}
+
+    def get(label, p, J, degree):
+        if (label, p, J, degree) not in built:
+            alg = build_algebra(J, p, build(label))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(restricted, "_may_bound", lambda alg, n: math.inf)
+                built[label, p, J, degree] = MinimalResolution(alg, degree)
+        return built[label, p, J, degree]
+    return get
+
+
+@pytest.mark.parametrize("label,p,J,degree", CAP_CASES, ids=CAP_IDS)
+def test_capped_stages_match_uncapped(uncapped, label, p, J, degree):
+    """Stopping each stage at the May bound changes no generator weight and
+    no differential."""
+    full = uncapped(label, p, J, degree)
+    capped = MinimalResolution(build_algebra(J, p, build(label)), degree)
+    assert [st.gen_weights for st in capped.stages] == \
+        [st.gen_weights for st in full.stages]
+    assert [[list(e.items()) for e in st.differential]
+            for st in capped.stages] == \
+        [[list(e.items()) for e in st.differential] for st in full.stages]
+    assert capped.check_minimal() and capped.check_complex()
+
+
+@pytest.mark.parametrize("label,p,J,degree", CAP_CASES, ids=CAP_IDS)
+def test_may_bound_holds_and_is_reached_in_even_degrees(uncapped, label, p,
+                                                        J, degree):
+    """Without the cap, no generator of degree n lies above H_n, and in
+    even degrees the highest one is at H_n: the class of x_theta^(1) to
+    the power n/2."""
+    res = uncapped(label, p, J, degree)
+    form = _height_form(res.alg.rs)
+    for st in res.stages:
+        top = max(sum(map(mul, form, wt)) for wt in st.gen_weights)
+        bound = _may_bound(res.alg, st.degree)
+        assert top <= bound
+        if st.degree % 2 == 0:
+            assert top == bound
+
+
+@pytest.mark.parametrize("label,J", (("A1", (0,)), ("A2", (0, 1)),
+                                     ("B2", (0, 1))))
+def test_may_bound_of_an_empty_nilradical_is_zero(label, J):
+    alg = build_algebra(J, 5, build(label))
+    assert alg.n == 0 and alg.generating_roots == ()
+    assert [_may_bound(alg, n) for n in range(7)] == [0] * 7
+    assert MinimalResolution(alg, 4).betti() == [1, 0, 0, 0, 0]
+
+
+# (type, p, top degree, generating roots beyond the simple ones)
+GENERATING_CASES = (("B2", 3, 3, set()), ("G2", 5, 2, set()),
+                    ("B2", 2, 4, {(1, 2)}), ("G2", 2, 4, {(2, 1)}),
+                    ("G2", 3, 3, {(3, 1)}))
+
+
+@pytest.mark.parametrize("label,p,degree,extra", GENERATING_CASES,
+                         ids=[f"{c[0]}-p{c[1]}" for c in GENERATING_CASES])
+def test_generating_roots(monkeypatch, label, p, degree, extra):
+    """The generating roots are the simple ones when no structure constant
+    vanishes mod p; a root that only brackets with a constant 0 mod p
+    reach joins them.  At every top-stage weight the span of x_gamma K
+    over the generating roots has the size of the span over all roots."""
+    rs = build(label)
+    alg = build_algebra((), p, rs)
+    simple = {tuple(int(i == j) for i in range(rs.rank))
+              for j in range(rs.rank)}
+    assert {alg.roots[g] for g in alg.generating_roots} == simple | extra
+    span = MinimalResolution._augmented_span
+    sizes = []
+
+    def both(self, kernel, wt):
+        out = span(self, kernel, wt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(self.alg, "generating_roots", tuple(range(self.alg.n)))
+            sizes.append((out.size, span(self, kernel, wt).size))
+        return out
+
+    monkeypatch.setattr(MinimalResolution, "_augmented_span", both)
+    MinimalResolution(alg, degree)
+    assert sizes and all(a == b for a, b in sizes)
