@@ -7,35 +7,39 @@ from-first-principles check of the character-level predictions.
 
 Each stage of the resolution is one pass over the weights in order of
 height, in the manner of R. Bruner, "Calculation of large Ext modules"
-(1989): at each weight the images d(a g) of the basis elements above
-generators of lower weight are computed once, and give both the next
-kernel and the span of A_+K from which the new generators are chosen.
+(1989).  The dimension of K = ker d_(n-1) at every weight is known before
+stage n starts, from the generator weights alone: 0 -> K_n -> F_n ->
+K_(n-1) -> 0 is exact, so dim K_n = dim F_n - dim K_(n-1) weight by weight
+(`_kernel_dims`).  At each weight the images d(a g) of the basis elements
+above generators of lower weight span A_+K there; where that span is
+smaller than K, a basis of K is rebuilt from d_(n-1) and the elements the
+span misses are the new generators.  No kernel passes between stages.
 
 Each stage stops at the May bound.  May's filtration gives the
 Friedlander-Parshall spectral sequence E_2^{2i,j} = S^i(u_J*)^(1) (x)
 H^j(u_J, k) => H^{2i+j}((U_J)_1, k) (Friedlander-Parshall, Amer. J. Math.
 108, 1986; J. P. May, J. Algebra 3, 1966), which is T-equivariant, so no
 T-weight of Ext^n has height above H_n (`_may_bound`).  Stage n visits only
-the weights of height at most H_(n+1) (H_n at the top stage): its own
-generators lie at most at H_n, and the kernel it hands up is read only where
-stage n+1 chooses generators.  A is graded by the positive root lattice, so
-what a stage computes at a weight reads only that weight and lower ones, and
-the cut changes nothing below it.  Above H_n the previous stage handed up
-no kernel, so a weight there leaves no generator and pushes no weight above
-it.  The top stage needs no next kernel and spans A_+K by x_gamma K over
-the roots gamma that generate A alone (`generating_roots`).
+the weights of height at most H_n where K is not 0.  A is graded by the
+positive root lattice, so what a stage computes at a weight reads only that
+weight and lower ones, and the cut changes nothing below it; and every
+generator of F_n lies below the cut, so dim F_n, and with it dim K_n, is
+exact at every weight.
 
 Each image is derived from one a step lower, as in Bruner's scheme: with h
 the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
 d(x^a g) = x_h d(x^(a - e_h) g).  The lower image has a weight of smaller
 height, so it sits in a memo that lives for one stage, and the build only
-multiplies by single generators (`gen_index`).  An image at weight w is read
-only by images at w + gamma for a nilradical root gamma, and weights leave
-the heap in order of height, so the memo drops it once the height passes
-height(w) + reach, reach the largest height of such a gamma: no later
-weight can read it, and no image is built twice.  `mult_mono` and `multiply`
-stay as the independent reference: `check_complex` reads d^2 = 0 through
-them, so the check and the build multiply by two different paths.
+multiplies by single generators (`gen_index`).  Every image of a visited
+weight's block is built, and where K is 0 the images are 0 and the stage
+does not visit, so the lower image is always in the memo or known to be 0.
+An image at weight w is read only by images at w + gamma for a nilradical
+root gamma, and weights are visited in order of height, so the memo drops
+it once the height passes height(w) + reach, reach the largest height of
+such a gamma: no later weight can read it, and no image is built twice.
+`mult_mono` and `multiply` stay as the independent reference:
+`check_complex` reads d^2 = 0 through them, so the check and the build
+multiply by two different paths.
 
 Inside the build, a basis element x^m e_s of a free module A^r is one int,
 s p^n + index(m), where index(m) = sum m_k p^(n-1-k) is the position of m in
@@ -52,11 +56,10 @@ decodes its differential to {(s, m): coeff} once, at its end;
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .alcoves import PreconditionError, require_prime
 from .characters import FormalCharacter, GradedCharacter
@@ -89,12 +92,6 @@ class RestrictedAlgebra:
         self.bracket = {ab: (k, val % p) for ab, (k, val)
                         in nilradical_constants(rs, self.roots).items()}
         self._check_restricted()
-        # the positions gamma that no bracket with a nonzero constant
-        # reaches: every other x_k is c^-1 [x_a, x_b] of lower roots, so
-        # these x_gamma generate u(u_J)
-        targets = {k for k, c in self.bracket.values() if c}
-        self.generating_roots = tuple(g for g in range(self.n)
-                                      if g not in targets)
         self._mono_cache: dict = {}
         self._root_fund = [rs.root_to_fund(g) for g in self.roots]
         # the monomials by index (see `mono_index`), the first nonzero
@@ -241,10 +238,10 @@ class MinimalResolution:
         # each stage's differential, int-keyed: what the build and the
         # Yoneda lifts read
         self._coded: list[list[dict]] = []
-        self._build()
         # lifting degree -> what `yoneda_product` reads there; filled by
         # the first product that lifts through that degree
         self._liftings: dict[int, tuple] = {}
+        self._build()
 
     # -- helpers -------------------------------------------------------
 
@@ -356,101 +353,96 @@ class MinimalResolution:
         alg = self.alg
         zero = (0,) * alg.rs.rank
         self.stages.append(ResolutionStage(0, [zero], []))
-        self._coded.append([])
-        # stage-0 kernel: the augmentation ideal, basis = non-unit monomials
-        kernel = {wt: [{i: 1} for i in monos]
-                  for wt, monos in alg.by_weight.items() if wt != zero}
+        # d_0 as the zero map: at a weight other than 0 its kernel is the
+        # whole block of A, the augmentation ideal A_+
+        self._coded.append([{}])
+        # dim K_(degree-1) by weight up to the top stage's bound, from
+        # dim k = 1 at weight 0 under F_0
+        top = _may_bound(alg, self.max_degree)
+        kdim = {zero: 1}
         for degree in range(1, self.max_degree + 1):
-            kernel = self._stage(degree, kernel)
+            kdim = _kernel_dims(alg, self.stages[degree - 1].gen_weights,
+                                kdim, top)
+            self._stage(degree, kdim)
 
-    def _stage(self, degree: int, kernel: dict):
-        """Choose the stage-`degree` generators from `kernel`, the basis of
-        ker d_{degree-1} by weight, and return ker d_degree by weight (None
-        at the top stage).
+    def _stage(self, degree: int, kdim: dict):
+        """Choose the stage-`degree` generators, given `kdim`, dim K by
+        weight for K = ker d_{degree-1} (see `_kernel_dims`).
 
-        Weights are visited by height, so every generator of lower weight
-        is known at wt.  Below the top stage, A_+K at wt is the image of
-        the block {a g : a in A_+, g of lower weight}: `_d_block` adds
-        those images to one Span and its dependent ones are ker d_degree
-        at wt.  The kernel elements at wt that the same span then keeps,
-        without combinations, are the new generators.  A new generator's
-        image lies outside A_+K, so leaving it out of the block changes no
-        kept set and no combination.  The top stage needs no next kernel
-        and spans A_+K by x_gamma k alone (`_augmented_span`).
+        Only the weights of height at most the May bound H_degree where K
+        is not 0 are visited, by height, so every generator of lower weight
+        is known at wt.  A_+K at wt is spanned by the images of the block
+        {a g : a in A_+, g of lower weight}; a Span without combinations
+        takes them until it is all of K, and dim K less its size, `need`,
+        is the number of new generators at wt.  Only where `need` is
+        positive is a basis of K at wt rebuilt, by `_d_block` on
+        d_{degree-1} over the block of F_{degree-1} at wt, and the first
+        `need` of its elements that the span misses are the new generators.
+        That block also holds the generators of F_{degree-1} at wt; their
+        images were chosen outside the span of the rest of it, so they are
+        kept and add or change no kernel element.  Likewise a new
+        generator's image lies outside A_+K, so leaving it out of the block
+        changes no span.
 
-        Only weights of height at most the May bound H_(degree+1) are
-        visited (H_degree at the top stage): no generator of this stage
-        lies above H_degree, and the next stage reads the kernel only up
-        to H_(degree+1).  The previous stage stopped `kernel` at H_degree,
-        so a weight above that has no kernel elements here and no
-        generators, though the span of its block need not be empty; such
-        a weight is skipped, and pushes no weight above it."""
+        Every image of the block is built, also past the span's stop, so
+        that the images one step above find theirs in the memo.  Below wt,
+        K is 0 at each weight not visited, and so are the images there and
+        x_h times them: an image whose lower one lies there is set to {}."""
         alg = self.alg
-        dim = alg.dimension
-        top = degree == self.max_degree
-        # the generators numbered in the order found: `_d_block` reads
-        # their images from `_coded`, and a provisional stage holds them
-        # with their weights until they are renumbered
+        dim, lead = alg.dimension, alg.lead
+        # the generators numbered in the order found: `_image` reads their
+        # images from `_coded`, and a provisional stage holds them with
+        # their weights until they are renumbered
         gen_weights: list[tuple] = []
         diff: list[dict] = []
         self.stages.append(ResolutionStage(degree, gen_weights, diff))
         self._coded.append(diff)
+        prev = self._lifting(degree - 1)[0]  # F_{degree-1} by weight
         images: dict = {}  # memo of d(a g) for this stage only
+        below: dict = {}  # memo of d_{degree-1} images for the rebuilds
         found: dict[tuple, range] = {}  # weight -> generators there
         form = _height_form(alg.rs)
         # an image at weight w is read only by images at w + gamma, so it
-        # leaves the memo once the heap passes height(w) + reach
+        # leaves the memo once the visits pass height(w) + reach
         reach = max(_root_heights(alg), default=0)
-        # no generator of this stage or the next lies above the May bound
-        cap = _may_bound(alg, min(degree + 1, self.max_degree))
-        # the monomial weights by height, to push the weights above a
-        # generator up to the cap
-        ups = sorted((sum(map(mul, form, mw)), mw) for mw in alg.by_weight)
-        done: deque = deque()  # (height, block) of each weight done
-        heap = [(h, wt) for wt in kernel
-                if (h := sum(map(mul, form, wt))) <= cap]
-        heapq.heapify(heap)
-        queued = {wt for _, wt in heap}
-        next_kernel: dict[tuple, list] = {}
-        while heap:
-            height, wt = heapq.heappop(heap)
+        done: deque = deque()  # (height, block) of each weight visited
+        cap = _may_bound(alg, degree)
+        for height, wt in sorted((h, wt) for wt, k in kdim.items() if k and
+                                 (h := sum(map(mul, form, wt))) <= cap):
             while done and done[0][0] + reach < height:
                 for key in done.popleft()[1]:
                     del images[key]
-            if top:
-                span = self._augmented_span(kernel, wt)
-                elems = kernel[wt]
-            else:
-                # wt is not in `found` yet: the block has no unit monomial
-                block = self._block(found, wt)
-                span, _, ker = self._d_block(degree, block, images)
-                done.append((height, block))
-                if ker:
-                    next_kernel[wt] = ker
-                span.drop_combinations()
-                elems = kernel.pop(wt, ())
-            # up to the previous stage's cap the kernel elements at wt are
-            # a basis of K there, so a span of their number is all of K and
-            # leaves no new generator; above it the previous stage handed
-            # up no kernel, elems is empty and the span need not be
-            if span.size == len(elems):
+            block = self._block(found, wt)
+            done.append((height, block))
+            # empty[h]: K is 0 one step lower, at wt - gamma_h
+            empty = [not kdim.get(tuple(map(sub, wt, gf)))
+                     for gf in alg._root_fund]
+            full = kdim[wt]
+            span = Span(alg.p)
+            span.drop_combinations()
+            for key in block:
+                if empty[lead[key % dim]]:
+                    images[key] = {}
+                image = self._image(diff, images, key)
+                if span.size < full:
+                    span.add(image)
+            need = full - span.size
+            if not need:
                 continue
-            gens = [elem for elem in elems if span.add(elem) is None]
-            if not gens:
-                continue
+            ker = self._d_block(degree - 1, self._block(prev, wt), below)[2]
+            if len(ker) != full:
+                raise RuntimeError(
+                    f"ker d_{degree - 1} at {wt} has dimension {len(ker)},"
+                    f" not {full} as the Euler characteristic says")
+            gens = []
+            for elem in ker:
+                if span.add(elem) is None:
+                    gens.append(elem)
+                    if len(gens) == need:
+                        break
             found[wt] = range(len(diff), len(diff) + len(gens))
             diff.extend(gens)
             gen_weights.extend([wt] * len(gens))
-            if top:
-                continue
-            for mh, mw in ups:
-                if height + mh > cap:
-                    break
-                up = tuple(x + y for x, y in zip(wt, mw))
-                if up not in queued:
-                    queued.add(up)
-                    heapq.heappush(heap, (height + mh, up))
-
         # number the generators by weight, then in the order found
         order = sorted(range(len(diff)), key=gen_weights.__getitem__)
         coded = self._coded[degree] = [diff[s] for s in order]
@@ -459,34 +451,6 @@ class MinimalResolution:
             degree, [gen_weights[s] for s in order],
             [{(key // dim, monomials[key % dim]): c
               for key, c in elem.items()} for elem in coded])
-        if top:
-            return None
-        shift = [0] * len(order)
-        for new, s in enumerate(order):
-            shift[s] = (new - s) * dim
-        for ker in next_kernel.values():
-            ker[:] = [{key + shift[key // dim]: c for key, c in elem.items()}
-                      for elem in ker]
-        return next_kernel
-
-    def _augmented_span(self, kernel: dict, wt: tuple) -> Span:
-        """Span of A_+K at wt, without combinations: x_gamma k for each
-        generating root gamma (`RestrictedAlgebra.generating_roots`) and
-        each kernel element k at weight wt - gamma.  Those x_gamma generate
-        A, so A_+ = sum x_gamma A and A_+K = sum x_gamma K; the other roots
-        add no row.  It stops once it has as many rows as there are kernel
-        elements at wt."""
-        alg = self.alg
-        span = Span(alg.p)
-        span.drop_combinations()
-        full = len(kernel[wt])
-        for g in alg.generating_roots:
-            gf = alg._root_fund[g]
-            for elem in kernel.get(tuple(a - b for a, b in zip(wt, gf)), ()):
-                span.add(self._times(g, elem))
-                if span.size == full:
-                    return span
-        return span
 
     # -- outputs -------------------------------------------------------
 
@@ -539,6 +503,27 @@ def _root_heights(alg: RestrictedAlgebra) -> list:
     """The height of each nilradical root in `_height_form` units."""
     form = _height_form(alg.rs)
     return [sum(map(mul, form, f)) for f in alg._root_fund]
+
+
+def _kernel_dims(alg: RestrictedAlgebra, gen_weights: list, below: dict,
+                 top: int) -> dict:
+    """dim K_n by weight up to height `top`: dim F_n - dim K_(n-1), the
+    Euler characteristic of 0 -> K_n -> F_n -> K_(n-1) -> 0.  F_n is free
+    on generators of the weights `gen_weights`, all of them (none lies
+    above the May bound), and `below` is dim K_(n-1) by weight ({0: 1},
+    the trivial module, under F_0)."""
+    form = _height_form(alg.rs)
+    ups = sorted((sum(map(mul, form, mw)), mw, len(monos))
+                 for mw, monos in alg.by_weight.items())
+    out = {wt: -d for wt, d in below.items()}
+    for gw, count in Counter(gen_weights).items():
+        gh = sum(map(mul, form, gw))
+        for mh, mw, size in ups:
+            if gh + mh > top:
+                break
+            wt = tuple(map(add, gw, mw))
+            out[wt] = out.get(wt, 0) + count * size
+    return out
 
 
 def _may_bound(alg: RestrictedAlgebra, n: int) -> int:

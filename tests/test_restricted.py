@@ -15,8 +15,8 @@ from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
-                               _height_form, _may_bound, build_algebra,
-                               ext_dims, find_class_by_weight,
+                               _height_form, _kernel_dims, _may_bound,
+                               build_algebra, ext_dims, find_class_by_weight,
                                square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
@@ -285,7 +285,7 @@ def test_memoised_image_matches_mult_mono(resolutions, case, data):
 
 def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
     """The resolution multiplies by `gen_index` alone, and each stage's
-    image memo is unreachable once the build ends."""
+    image memos are unreachable once the build ends."""
     calls = []
     mult_mono = RestrictedAlgebra.mult_mono
     monkeypatch.setattr(RestrictedAlgebra, "mult_mono",
@@ -302,7 +302,9 @@ def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
     res = MinimalResolution(alg, 4)
     assert res.betti() == [1, 2, 6, 10, 19]
     assert calls == [] and alg._mono_cache == {}
-    assert len(memos) == 3  # stages 1-3; the top stage forms no images
+    # stages 1-4 each read two memos: the images of their own differential
+    # and, for the kernel rebuilds, those of the differential below
+    assert len(memos) == 8
     for memo in memos.values():
         assert memo
         holders = [r for r in gc.get_referrers(memo)
@@ -314,10 +316,12 @@ def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
 def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
                                                        p, degree):
     """An image at weight w is read only at w + gamma, so when `_stage`
-    hands a weight to `_d_block` its memo holds no image more than
-    `reach` (the largest height of a nilradical root) below that weight;
-    and no image is dropped before its last reader: the memo misses equal
-    the block elements, so each image is built once."""
+    builds an image its memo holds no image more than `reach` (the largest
+    height of a nilradical root) below it; and no image is dropped before
+    its last reader: no memo, neither a stage's own nor the one its kernel
+    rebuilds read, builds an image twice.  Each image of a visited block is
+    built once or set to {} where K one step lower is 0, also past the
+    point where the span at that weight stops; the memo holds no other."""
     alg = build_algebra((), p, build(label))
     form = _height_form(alg.rs)
 
@@ -326,31 +330,51 @@ def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
 
     reach = max(height(f) for f in alg._root_fund)
     mono_height = [height(w) for w in alg.weights]
-    depths, elements, misses = [], [0], [0]
-    d_block, image = MinimalResolution._d_block, MinimalResolution._image
+    depths, built, blocks, zeros, scanned = [], {}, {}, {}, set()
+    image, block = MinimalResolution._image, MinimalResolution._block
 
-    def key_height(self, deg, key):
+    def key_height(stage, key):
         # generator s of the stage being built, numbered in the order found
         s, i = divmod(key, alg.dimension)
-        return height(self.stages[deg].gen_weights[s]) + mono_height[i]
-
-    def recording_d_block(self, deg, dom, memo=None):
-        if dom:
-            top = key_height(self, deg, dom[0])
-            depths.extend(top - key_height(self, deg, key) for key in memo)
-            elements[0] += len(dom)
-        return d_block(self, deg, dom, memo)
+        return height(stage.gen_weights[s]) + mono_height[i]
 
     def recording_image(self, images, memo, key):
+        deg = len(self._coded) - 1
+        own = images is self._coded[deg]
+        seen = built.setdefault((deg, own), set())
         if key % alg.dimension and key not in memo:
-            misses[0] += 1
+            assert key not in seen
+            seen.add(key)
+            top = key_height(self.stages[deg], key) if own else None
+            if own and (deg, top) not in scanned:
+                # the first image built at this height: the memo drops
+                # images when a weight is visited, not between images
+                scanned.add((deg, top))
+                depths.extend(top - key_height(self.stages[deg], k)
+                              for k in memo)
+        elif own and key % alg.dimension and key not in seen:
+            assert memo[key] == {}
+            zeros.setdefault(deg, set()).add(key)
         return image(self, images, memo, key)
 
-    monkeypatch.setattr(MinimalResolution, "_d_block", recording_d_block)
+    def recording_block(self, gens, wt):
+        keys = block(self, gens, wt)
+        if isinstance(next(iter(gens.values()), None), range):
+            # the stage's own generators, numbered in the order found
+            blocks.setdefault(len(self._coded) - 1, []).extend(keys)
+        return keys
+
     monkeypatch.setattr(MinimalResolution, "_image", recording_image)
+    monkeypatch.setattr(MinimalResolution, "_block", recording_block)
     MinimalResolution(alg, degree)
     assert depths and max(depths) <= reach
-    assert misses[0] == elements[0] > 0
+    assert sorted(built) == [(n, own) for n in range(1, degree + 1)
+                             for own in (False, True)]
+    assert zeros
+    for n, keys in blocks.items():
+        kept, empty = built[n, True], zeros.get(n, set())
+        assert len(keys) == len(set(keys)) == len(kept) + len(empty)
+        assert kept | empty == set(keys)
 
 
 # -- the May bound and the generating roots --------------------------------
@@ -413,43 +437,55 @@ def test_may_bound_holds_and_is_reached_in_even_degrees(uncapped, label, p,
             assert top == bound
 
 
+@pytest.mark.parametrize("label,p,J,degree", CAP_CASES, ids=CAP_IDS)
+def test_euler_kernel_dims_match_kernels(label, p, J, degree):
+    """At every weight up to the top stage's May bound, dim K_n from the
+    Euler characteristic (`_kernel_dims`, which the build reads) equals the
+    number of kernel elements `_d_block` finds for d_n, n >= 1."""
+    alg = build_algebra(J, p, build(label))
+    res = MinimalResolution(alg, degree)
+    top = _may_bound(alg, degree)
+    zero = (0,) * alg.rs.rank
+    kdim = _kernel_dims(alg, [zero], {zero: 1}, top)
+    assert kdim == {wt: len(monos) - (wt == zero)
+                    for wt, monos in alg.by_weight.items()
+                    if sum(map(mul, _height_form(alg.rs), wt)) <= top}
+    for n in range(1, degree + 1):
+        kdim = _kernel_dims(alg, res.stages[n].gen_weights, kdim, top)
+        gens, memo = res._lifting(n)[0], {}
+        assert {wt: len(res._d_block(n, res._block(gens, wt), memo)[2])
+                for wt in kdim} == kdim
+
+
 @pytest.mark.parametrize("label,J", (("A1", (0,)), ("A2", (0, 1)),
                                      ("B2", (0, 1))))
 def test_may_bound_of_an_empty_nilradical_is_zero(label, J):
     alg = build_algebra(J, 5, build(label))
-    assert alg.n == 0 and alg.generating_roots == ()
+    assert alg.n == 0
     assert [_may_bound(alg, n) for n in range(7)] == [0] * 7
     assert MinimalResolution(alg, 4).betti() == [1, 0, 0, 0, 0]
 
 
-# (type, p, top degree, generating roots beyond the simple ones)
-GENERATING_CASES = (("B2", 3, 3, set()), ("G2", 5, 2, set()),
-                    ("B2", 2, 4, {(1, 2)}), ("G2", 2, 4, {(2, 1)}),
-                    ("G2", 3, 3, {(3, 1)}))
+# (type, p, generating roots beyond the simple ones)
+GENERATING_CASES = (("B2", 3, set()), ("G2", 5, set()), ("B2", 2, {(1, 2)}),
+                    ("G2", 2, {(2, 1)}), ("G2", 3, {(3, 1)}))
 
 
-@pytest.mark.parametrize("label,p,degree,extra", GENERATING_CASES,
+@pytest.mark.parametrize("label,p,extra", GENERATING_CASES,
                          ids=[f"{c[0]}-p{c[1]}" for c in GENERATING_CASES])
-def test_generating_roots(monkeypatch, label, p, degree, extra):
-    """The generating roots are the simple ones when no structure constant
-    vanishes mod p; a root that only brackets with a constant 0 mod p
-    reach joins them.  At every top-stage weight the span of x_gamma K
-    over the generating roots has the size of the span over all roots."""
+def test_generating_roots(label, p, extra):
+    """Ext^1 = (u_J / [u_J, u_J])^*, so the stage-1 generators sit at the
+    roots that generate u(u_J), those that no bracket with a constant
+    nonzero mod p reaches: the simple ones when no structure constant
+    vanishes mod p, and a root that only brackets with a constant 0 mod p
+    reach joins them."""
     rs = build(label)
     alg = build_algebra((), p, rs)
     simple = {tuple(int(i == j) for i in range(rs.rank))
               for j in range(rs.rank)}
-    assert {alg.roots[g] for g in alg.generating_roots} == simple | extra
-    span = MinimalResolution._augmented_span
-    sizes = []
-
-    def both(self, kernel, wt):
-        out = span(self, kernel, wt)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(self.alg, "generating_roots", tuple(range(self.alg.n)))
-            sizes.append((out.size, span(self, kernel, wt).size))
-        return out
-
-    monkeypatch.setattr(MinimalResolution, "_augmented_span", both)
-    MinimalResolution(alg, degree)
-    assert sizes and all(a == b for a, b in sizes)
+    targets = {k for k, c in alg.bracket.values() if c}
+    generating = {alg.roots[g] for g in range(alg.n) if g not in targets}
+    assert generating == simple | extra
+    stage = MinimalResolution(alg, 1).stages[1]
+    assert sorted(stage.gen_weights) == \
+        sorted(rs.root_to_fund(r) for r in generating)
