@@ -190,6 +190,8 @@ class CEComplex:
         # T-weight of each dual generator f_k: minus its root
         self._neg_fund = [tuple(-c for c in rs.root_to_fund(g))
                           for g in self.roots]
+        self._d_memo: dict[tuple, dict] = {}
+        self._blocks_memo: dict[int, dict] = {}
         self._check_d_squared()
 
     def weight_of(self, subset) -> tuple:
@@ -206,8 +208,16 @@ class CEComplex:
         """d f_k = -sum_{a<b, gamma_a+gamma_b=gamma_k} N_{ab} f_a ^ f_b."""
         return self._d_gen.get(k, {})
 
-    def d_basis_element(self, subset) -> dict:
-        """Derivation extension: d(f_S) as dict {sorted subset: coeff}."""
+    def d_basis_element(self, subset: tuple) -> dict:
+        """Derivation extension: d(f_S) as dict {sorted subset: coeff}.
+
+        Memoised per complex; callers must not mutate the dict."""
+        hit = self._d_memo.get(subset)
+        if hit is None:
+            hit = self._d_memo[subset] = self._d_of(subset)
+        return hit
+
+    def _d_of(self, subset: tuple) -> dict:
         out = {}
         for pos_in_s, k in enumerate(subset):
             rest = subset[:pos_in_s] + subset[pos_in_s + 1:]
@@ -218,6 +228,16 @@ class CEComplex:
                     key = tuple(sorted((a, b, *rest)))
                     out[key] = out.get(key, 0) + lead_sign * val * sgn
         return {k: v for k, v in out.items() if v}
+
+    def blocks_by_weight(self, degree: int) -> dict:
+        """{T-weight: [subsets of that weight]} for C^degree, in basis
+        order.  Memoised per degree; callers must not mutate it."""
+        out = self._blocks_memo.get(degree)
+        if out is None:
+            out = self._blocks_memo[degree] = {}
+            for s in self.basis(degree):
+                out.setdefault(self.weight_of(s), []).append(s)
+        return out
 
     def d_matrix(self, degree: int):
         """Matrix of d: C^degree -> C^{degree+1} in the subset bases."""
@@ -240,13 +260,6 @@ class CEComplex:
                 assert not any(acc.values()), f"d^2 != 0 at degree {deg}"
 
 
-def _blocks_by_weight(ce: CEComplex, degree: int):
-    out: dict[tuple, list] = {}
-    for s in ce.basis(degree):
-        out.setdefault(ce.weight_of(s), []).append(s)
-    return out
-
-
 def oracle_cohomology(J, rs: RootSystem, field: str = "Q",
                       p: int | None = None) -> GradedCharacter:
     """Weight-graded cohomology of the nilradical complex.
@@ -265,7 +278,7 @@ def oracle_cohomology(J, rs: RootSystem, field: str = "Q",
     rank_at: dict[tuple, dict[int, int]] = {}
     dim_at: dict[tuple, dict[int, int]] = {}
     for deg in range(n + 1):
-        for wt, block in _blocks_by_weight(ce, deg).items():
+        for wt, block in ce.blocks_by_weight(deg).items():
             dim_at.setdefault(wt, {})[deg] = len(block)
             span = Span(None if field == "Q" else p)
             for s in block:
@@ -333,7 +346,7 @@ def cochain_cup(w1, w2, group, rs: RootSystem, field: str = "Q",
         if w.length == deg and ce.weight_of(s := cochain(w)) == wt:
             span.add({s: 1})
             cand_ws.append(w)
-    for s in _blocks_by_weight(ce, deg - 1).get(wt, []):
+    for s in ce.blocks_by_weight(deg - 1).get(wt, []):
         span.add(ce.d_basis_element(s))
     sol = span.express({subset: sgn})
     if sol is None:

@@ -124,6 +124,7 @@ class RootSystem:
         self.root_of_fund = {self.root_to_fund(b): b for b in self._all_roots}
         # (mu, nu) = inner_scaled(mu, nu) / inner_denominator
         self.inner_denominator, self._gram_scaled = self._scaled_gram()
+        self._phi_j: dict[frozenset, tuple] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -317,10 +318,15 @@ class RootSystem:
         return out
 
     def phi_j_plus(self, J) -> tuple:
-        """Positive roots supported on the simple-root subset J (index set)."""
+        """Positive roots supported on the simple-root subset J (index set),
+        computed once per J."""
         J = frozenset(J)
-        return tuple(b for b in self.positive_roots
-                     if all(i in J for i in range(self.rank) if b[i]))
+        out = self._phi_j.get(J)
+        if out is None:
+            out = self._phi_j[J] = tuple(
+                b for b in self.positive_roots
+                if all(i in J for i in range(self.rank) if b[i]))
+        return out
 
     def nilradical_roots(self, J) -> tuple:
         """Phi^+ minus Phi_J^+, in convex order (the roots of u_J)."""

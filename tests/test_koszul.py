@@ -142,3 +142,38 @@ def test_oracle_budget():
     rs = build("E6")
     with pytest.raises(OracleBudgetError):
         oracle_cohomology((), rs, "Q")
+
+
+def test_differential_and_blocks_are_memoised_per_complex():
+    rs = build("B2")
+    ce = CEComplex((), rs)
+    for deg in range(len(ce.roots) + 1):
+        assert ce.blocks_by_weight(deg) is ce.blocks_by_weight(deg)
+        assert sorted(s for block in ce.blocks_by_weight(deg).values()
+                      for s in block) == ce.basis(deg)
+        for s in ce.basis(deg):
+            d = ce.d_basis_element(s)
+            assert d is ce.d_basis_element(s)
+            assert d == ce._d_of(s)
+
+
+def test_repeated_oracle_and_cup_calls_agree():
+    """Memoised differentials are shared by every call on one complex:
+    no caller may change them, so a second pass (after passes over the
+    other field) gives the same answers as the first, and as a complex
+    built afresh."""
+    rs = build("A3")
+    g = enumerate_group(rs)
+    pairs = [(w1, w2) for w1 in g.elements for w2 in g.elements]
+
+    def cups(field, p=None):
+        return [cochain_cup(w1, w2, g, rs, field, p) for w1, w2 in pairs]
+
+    koszul._full_complex.cache_clear()
+    first = {"Q": cups("Q"), "Fp": cups("Fp", 7)}
+    assert cups("Q") == first["Q"] and cups("Fp", 7) == first["Fp"]
+    koszul._full_complex.cache_clear()
+    assert cups("Fp", 7) == first["Fp"] and cups("Q") == first["Q"]
+    oracle = oracle_cohomology((), rs, "Fp", 7)
+    assert oracle_cohomology((), rs, "Q") == oracle
+    assert oracle_cohomology((), rs, "Fp", 7) == oracle

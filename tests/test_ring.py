@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,3 +225,178 @@ def test_mask_scalar_is_straightening_scalar(label, ell, data):
     m2 = data.draw(st.integers(0, full)) & ~m1
     word = tuple(mask_bits(m1) + mask_bits(m2))
     assert mask_scalar(m1, m2, rs, ell) == quantum_straighten(word, rs, ell)[0]
+
+
+# ----------------------------------------------------------------------
+# check_ring_laws against the exhaustive reference
+
+
+def _reference_laws(ring):
+    """The ring laws checked by brute force: associativity on all
+    |^JW|^3 triples of ring.exterior_table().  check_ring_laws must return
+    the same dict on every table, corrupted ones included."""
+    table = ring.exterior_table()
+    reps = ring.reps
+    one = CycScalar.one(ring.ell)
+
+    def times(x, y):
+        if x is None or y is None:
+            return None
+        prod = table[x[1], y[1]]
+        return None if prod is None else (x[0] * y[0] * prod[0], prod[1])
+
+    ok_assoc = all(times(ab, (one, c)) == times((one, a), table[b, c])
+                   for (a, b), ab in table.items() for c in reps)
+    ok_square = all(a.length == 0 or table[a, a] is None for a in reps)
+    ident = ring.group.identity
+    ok_identity = all(table[ident, a] == (one, a) == table[a, ident]
+                      for a in reps)
+    if ring.ell == 1:
+        ok_comm = all(
+            table[a, b] == times((CycScalar(-1 if a.length * b.length % 2
+                                            else 1, 0, 1), ident), table[b, a])
+            for a in reps for b in reps)
+    else:
+        ok_comm = defining_relations_hold(ring.rs, ring.ell)
+    return {"associative": ok_assoc, "odd_squares_zero": ok_square,
+            "identity": ok_identity, "graded_commutative": ok_comm}
+
+
+def _a3_ring(mode):
+    rs, g = _setup("A3")
+    return CohomologyRing(rs, g, (), mode, 11 if mode == "classical" else 7)
+
+
+def _in_a_triple(ring, length=None):
+    """A nonzero product e_a e_b of non-identity classes (of the given
+    length, if one is given), and a non-identity c with
+    (e_a e_b) e_c != 0."""
+    table = ring.exterior_table()
+    for (a, b), ab in table.items():
+        if ab is None or not a.length or not b.length:
+            continue
+        if length is not None and not a.length == b.length == length:
+            continue
+        for c in ring.reps:
+            if c.length and table[ab[1], c] is not None:
+                return a, b, c
+    raise AssertionError("no nonzero triple")
+
+
+def _flip_sign(ring):
+    table = ring.exterior_table()
+    a, b, _ = _in_a_triple(ring)
+    scal, w = table[a, b]
+    table[a, b] = (-scal, w)
+
+
+def _zero_product(ring):
+    a, b, _ = _in_a_triple(ring)
+    ring.exterior_table()[a, b] = None
+
+
+def _unzero_product(ring):
+    """Make a zero product nonzero: e_a e_b = e_{w0}, where a and d are
+    simple and e_b = +-e_a e_d, so Phi(a) lies in Phi(b).  The triples
+    (a, a, d) and (a, d, a) join R but not L, and every triple of L reads
+    the entry alike on both sides, so only the count of R against L sees
+    the fault."""
+    table = ring.exterior_table()
+    a, d, _ = _in_a_triple(ring, length=1)
+    b = table[a, d][1]
+    assert table[a, b] is None
+    table[a, b] = (CycScalar.one(ring.ell), ring.group.longest)
+
+
+def _redirect_target(ring):
+    """Send a nonzero e_a e_b to the top class."""
+    table = ring.exterior_table()
+    a, b, _ = _in_a_triple(ring)
+    table[a, b] = (table[a, b][0], ring.group.longest)
+
+
+def _break_identity(ring):
+    table = ring.exterior_table()
+    a = ring.group.simple[0]
+    table[ring.group.identity, a] = (-table[ring.group.identity, a][0], a)
+
+
+def _nonzero_square(ring):
+    table = ring.exterior_table()
+    a = ring.group.simple[0]
+    table[a, a] = (CycScalar.one(ring.ell), ring.group.longest)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("fault, law", [
+    (_flip_sign, "associative"), (_zero_product, "associative"),
+    (_unzero_product, "associative"), (_redirect_target, "associative"),
+    (_break_identity, "identity"),
+    (_nonzero_square, "odd_squares_zero")])
+def test_planted_fault_breaks_its_law(fault, law, mode):
+    ring = _a3_ring(mode)
+    assert all(check_ring_laws(ring).values())
+    fault(ring)
+    laws = check_ring_laws(ring)
+    assert laws[law] is False
+    assert laws == _reference_laws(ring)
+
+
+def test_planted_fault_in_a_commuting_pair():
+    """A sign flip on e_a e_b but not on e_b e_a breaks classical graded
+    commutativity, even where no nonzero triple reads the entry."""
+    rs, g = _setup("A2")
+    ring = CohomologyRing(rs, g, (), "classical", 7)
+    table = ring.exterior_table()
+    for (x, y), xy in table.items():
+        if xy is not None and x.length and y.length:
+            a, b = x, y
+            break
+    scal, w = table[a, b]
+    table[a, b] = (-scal, w)
+    laws = check_ring_laws(ring)
+    assert laws == {"associative": True, "odd_squares_zero": True,
+                    "identity": True, "graded_commutative": False}
+    assert laws == _reference_laws(ring)
+
+
+@lru_cache(maxsize=None)
+def _corruptible(label, J, mode, modulus):
+    """A ring, and a copy of its table to corrupt copies of."""
+    rs, g = _setup(label)
+    ring = CohomologyRing(rs, g, J, mode, modulus, unsafe=True)
+    return ring, dict(ring.exterior_table())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["A2", "B2", "A3", "G2"]), st.sampled_from([(), (0,)]),
+       st.sampled_from([("classical", 5), ("classical", 7), ("quantum", 5),
+                        ("quantum", 7)]),
+       st.integers(1, 2), st.data())
+def test_sparse_laws_match_reference_on_corrupted_tables(label, J, case,
+                                                         entries, data):
+    ring, clean = _corruptible(label, J, *case)
+    keys = list(clean)
+    ell = ring.ell
+    table = dict(clean)
+    for _ in range(entries):
+        key = data.draw(st.sampled_from(keys))
+        if data.draw(st.booleans()):
+            table[key] = None
+        else:
+            sign = data.draw(st.sampled_from([-1, 1]))
+            expo = data.draw(st.integers(0, ell - 1))
+            w = data.draw(st.sampled_from(ring.reps))
+            table[key] = (CycScalar(sign, expo, ell), w)
+    ring._table = table
+    assert check_ring_laws(ring) == _reference_laws(ring)
+
+
+def test_laws_reach_b4():
+    """|^JW| = 384: the exhaustive check would visit 56.6 M triples."""
+    rs, g = _setup("B4")
+    ring = CohomologyRing(rs, g, (), "classical", 17)
+    assert len(ring.reps) == 384
+    assert check_ring_laws(ring) == {
+        "associative": True, "odd_squares_zero": True, "identity": True,
+        "graded_commutative": True}

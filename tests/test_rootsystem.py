@@ -129,3 +129,11 @@ def test_integer_root_tables():
                 assert rs.pairing(mu, b) == cor[i]
             minus = tuple(-c for c in b)
             assert rs.pairing(rs.rho, minus) == -rs.pairing(rs.rho, b)
+
+
+def test_phi_j_plus_is_computed_once_per_j():
+    rs = build("F4")
+    phi = rs.phi_j_plus((0, 1))
+    assert rs.phi_j_plus([1, 0]) is phi and rs.phi_j_plus({0, 1}) is phi
+    assert phi == tuple(b for b in rs.positive_roots if not b[2] and not b[3])
+    assert len(phi) == 3 and rs.phi_j_plus(()) == ()
