@@ -15,28 +15,31 @@ above generators of lower weight span A_+K there; where that span is
 smaller than K, a basis of K is rebuilt from d_(n-1) and the elements the
 span misses are the new generators.  No kernel passes between stages.
 
-Each stage stops at the May bound.  May's filtration gives the
+Each stage visits only the May weights.  May's filtration gives the
 Friedlander-Parshall spectral sequence E_2^{2i,j} = S^i(u_J*)^(1) (x)
 H^j(u_J, k) => H^{2i+j}((U_J)_1, k) (Friedlander-Parshall, Amer. J. Math.
-108, 1986; J. P. May, J. Algebra 3, 1966), which is T-equivariant, so no
-T-weight of Ext^n has height above H_n (`_may_bound`).  Stage n visits only
-the weights of height at most H_n where K is not 0.  A is graded by the
-positive root lattice, so what a stage computes at a weight reads only that
-weight and lower ones, and the cut changes nothing below it; and every
-generator of F_n lies below the cut, so dim F_n, and with it dim K_n, is
-exact at every weight.
+108, 1986; J. P. May, J. Algebra 3, 1966), which is T-equivariant, so every
+stage-n generator has a weight in W_n, the set of p (a sum of i nilradical
+roots, repeats allowed) + (a sum of j distinct ones) over 2i + j = n
+(`_may_weights`; `_may_bound` is its largest height).  Stage n visits only
+the weights of W_n where K is not 0.  Skipping the others is exact: no
+generator lies there, so the span would take all of K at each of them; a
+visit leaves nothing behind but the generators it finds, and the images a
+block needs are built from lower ones wherever those lie; and every
+generator of F_n is known, so dim F_n, and with it dim K_n, is exact at
+every weight.  Where a weight gets generators, the span has taken every
+image of its block, so the stages are those of a build that visits every
+weight.
 
 Each image is derived from one a step lower, as in Bruner's scheme: with h
 the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
-d(x^a g) = x_h d(x^(a - e_h) g).  The lower image has a weight of smaller
-height, so it sits in a memo that lives for one stage, and the build only
-multiplies by single generators (`gen_index`).  Every image of a visited
-weight's block is built, and where K is 0 the images are 0 and the stage
-does not visit, so the lower image is always in the memo or known to be 0.
-An image at weight w is read only by images at w + gamma for a nilradical
-root gamma, and weights are visited in order of height, so the memo drops
-it once the height passes height(w) + reach, reach the largest height of
-such a gamma: no later weight can read it, and no image is built twice.
+d(x^a g) = x_h d(x^(a - e_h) g).  `_image` builds the lower images of a
+chain on demand, into a memo that lives for one stage and is never
+evicted, so no image is built twice, and the build only multiplies by
+single generators (`gen_index`).  At a visited weight the span stops once
+it is all of K, so only the images it reads, and the lower ones they come
+from, are built.
+
 `mult_mono` and `multiply` stay as the independent reference:
 `check_complex` reads d^2 = 0 through them, so the check and the build
 multiply by two different paths.
@@ -56,10 +59,10 @@ decodes its differential to {(s, m): coeff} once, at its end;
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from itertools import product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
-from operator import add, mul, sub
+from operator import add, mul
 
 from .alcoves import PreconditionError, require_prime
 from .characters import FormalCharacter, GradedCharacter
@@ -369,27 +372,26 @@ class MinimalResolution:
         """Choose the stage-`degree` generators, given `kdim`, dim K by
         weight for K = ker d_{degree-1} (see `_kernel_dims`).
 
-        Only the weights of height at most the May bound H_degree where K
-        is not 0 are visited, by height, so every generator of lower weight
-        is known at wt.  A_+K at wt is spanned by the images of the block
-        {a g : a in A_+, g of lower weight}; a Span without combinations
-        takes them until it is all of K, and dim K less its size, `need`,
-        is the number of new generators at wt.  Only where `need` is
-        positive is a basis of K at wt rebuilt, by `_d_block` on
-        d_{degree-1} over the block of F_{degree-1} at wt, and the first
-        `need` of its elements that the span misses are the new generators.
-        That block also holds the generators of F_{degree-1} at wt; their
-        images were chosen outside the span of the rest of it, so they are
-        kept and add or change no kernel element.  Likewise a new
-        generator's image lies outside A_+K, so leaving it out of the block
-        changes no span.
+        Only the weights of W_degree (`_may_weights`) where K is not 0 are
+        visited, by height, so every generator of lower weight is known at
+        wt.  A_+K at wt is spanned by the images of the block {a g : a in
+        A_+, g of lower weight}; a Span without combinations takes them
+        until it is all of K, and dim K less its size, `need`, is the
+        number of new generators at wt.  Only where `need` is positive is
+        a basis of K at wt rebuilt, by `_d_block` on d_{degree-1} over the
+        block of F_{degree-1} at wt, and the first `need` of its elements
+        that the span misses are the new generators.  The span has then
+        taken every image of the block.  That block also holds the
+        generators of F_{degree-1} at wt; their images were chosen outside
+        the span of the rest of it, so they are kept and add or change no
+        kernel element.  Likewise a new generator's image lies outside
+        A_+K, so leaving it out of the block changes no span.
 
-        Every image of the block is built, also past the span's stop, so
-        that the images one step above find theirs in the memo.  Below wt,
-        K is 0 at each weight not visited, and so are the images there and
-        x_h times them: an image whose lower one lies there is set to {}."""
+        The images are built on demand: `_image` builds the lower images
+        of a chain into the stage's memo, which is never evicted, so none
+        is built twice."""
         alg = self.alg
-        dim, lead = alg.dimension, alg.lead
+        dim = alg.dimension
         # the generators numbered in the order found: `_image` reads their
         # images from `_coded`, and a provisional stage holds them with
         # their weights until they are renumbered
@@ -402,30 +404,16 @@ class MinimalResolution:
         below: dict = {}  # memo of d_{degree-1} images for the rebuilds
         found: dict[tuple, range] = {}  # weight -> generators there
         form = _height_form(alg.rs)
-        # an image at weight w is read only by images at w + gamma, so it
-        # leaves the memo once the visits pass height(w) + reach
-        reach = max(_root_heights(alg), default=0)
-        done: deque = deque()  # (height, block) of each weight visited
-        cap = _may_bound(alg, degree)
-        for height, wt in sorted((h, wt) for wt, k in kdim.items() if k and
-                                 (h := sum(map(mul, form, wt))) <= cap):
-            while done and done[0][0] + reach < height:
-                for key in done.popleft()[1]:
-                    del images[key]
-            block = self._block(found, wt)
-            done.append((height, block))
-            # empty[h]: K is 0 one step lower, at wt - gamma_h
-            empty = [not kdim.get(tuple(map(sub, wt, gf)))
-                     for gf in alg._root_fund]
+        for _, wt in sorted((sum(map(mul, form, wt)), wt)
+                            for wt in _may_weights(alg, degree)
+                            if kdim.get(wt)):
             full = kdim[wt]
             span = Span(alg.p)
             span.drop_combinations()
-            for key in block:
-                if empty[lead[key % dim]]:
-                    images[key] = {}
-                image = self._image(diff, images, key)
-                if span.size < full:
-                    span.add(image)
+            for key in self._block(found, wt):
+                span.add(self._image(diff, images, key))
+                if span.size == full:
+                    break
             need = full - span.size
             if not need:
                 continue
@@ -499,12 +487,6 @@ def _height_form(rs: RootSystem) -> tuple:
     return tuple(int(c * den) for c in cols)
 
 
-def _root_heights(alg: RestrictedAlgebra) -> list:
-    """The height of each nilradical root in `_height_form` units."""
-    form = _height_form(alg.rs)
-    return [sum(map(mul, form, f)) for f in alg._root_fund]
-
-
 def _kernel_dims(alg: RestrictedAlgebra, gen_weights: list, below: dict,
                  top: int) -> dict:
     """dim K_n by weight up to height `top`: dim F_n - dim K_(n-1), the
@@ -526,18 +508,35 @@ def _kernel_dims(alg: RestrictedAlgebra, gen_weights: list, below: dict,
     return out
 
 
-def _may_bound(alg: RestrictedAlgebra, n: int) -> int:
-    """H_n, in `_height_form` units: no T-weight of Ext^n has larger height.
+def _may_weights(alg: RestrictedAlgebra, n: int) -> set:
+    """W_n, in fundamental coordinates: the weights p (a sum of i
+    nilradical roots, repeats allowed) + (a sum of j distinct ones) with
+    2i + j = n.  Every T-weight of a stage-n generator lies in W_n.
 
     May's filtration gives the Friedlander-Parshall spectral sequence
-    E_2^{2i,j} = S^i(u_J*)^(1) (x) H^j(u_J, k) => H^{2i+j}((U_J)_1, k), and
-    H^j(u_J, k) is a subquotient of Lambda^j(u_J*).  So H_n is the largest
-    p i R + (the sum of the j largest root heights) over 2i + j = n and
-    j <= N, R the largest root height; 0 for an empty nilradical."""
-    heights = sorted(_root_heights(alg), reverse=True)
-    top = heights[0] if heights else 0
-    return max((alg.p * i * top + sum(heights[:n - 2 * i])
-                for i in range(n // 2 + 1) if n - 2 * i <= len(heights)),
+    E_2^{2i,j} = S^i(u_J*)^(1) (x) H^j(u_J, k) => H^{2i+j}((U_J)_1, k),
+    which is T-equivariant, and H^j(u_J, k) is a subquotient of
+    Lambda^j(u_J*).  For p = 2 the set is that of the weights of
+    S^n(u_J*): split each root's multiplicity into twos and a remainder.
+    Empty for n > 0 when the nilradical is."""
+    zero = (0,) * alg.rs.rank
+
+    def sums(choose, k):
+        return {tuple(map(sum, zip(zero, *roots)))
+                for roots in choose(alg._root_fund, k)}
+
+    return {tuple(alg.p * a + b for a, b in zip(sym, ext))
+            for i in range(n // 2 + 1)
+            for sym in sums(combinations_with_replacement, i)
+            for ext in sums(combinations, n - 2 * i)}
+
+
+def _may_bound(alg: RestrictedAlgebra, n: int) -> int:
+    """H_n, in `_height_form` units: the largest height over W_n
+    (`_may_weights`), so no T-weight of Ext^n has larger height; 0 when
+    W_n is empty."""
+    form = _height_form(alg.rs)
+    return max((sum(map(mul, form, wt)) for wt in _may_weights(alg, n)),
                default=0)
 
 

@@ -1,8 +1,8 @@
 import copy
 import gc
 import inspect
-import math
 import random
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul
 
 import pytest
@@ -16,8 +16,9 @@ from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
                                _height_form, _kernel_dims, _may_bound,
-                               build_algebra, ext_dims, find_class_by_weight,
-                               square_certificate, yoneda_product)
+                               _may_weights, build_algebra, ext_dims,
+                               find_class_by_weight, square_certificate,
+                               yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -243,6 +244,41 @@ def test_single_pass_matches_two_passes(label, p, J, degree):
         [[list(e.items()) for e in st.differential] for st in expected]
 
 
+# every case over A2, B2, G2 and A3 with p in {2, 3, 5, 7}, a nonempty
+# nilradical and p^N <= 625
+SMALL_CASES = tuple(
+    (label, p, J) for label in ("A2", "B2", "G2", "A3")
+    for r in range(build(label).rank)
+    for J in combinations(range(build(label).rank), r) for p in (2, 3, 5, 7)
+    if p ** len(build(label).nilradical_roots(J)) <= 625)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(SMALL_CASES), degree=st.integers(1, 4))
+def test_may_weight_stages_match_two_passes(case, degree):
+    """The build, which visits only the May weights, gives the stages of
+    the two-pass resolution, which visits every weight of every kernel."""
+    label, p, J = case
+    alg = build_algebra(J, p, build(label))
+    expected = _two_pass_stages(alg, degree)
+    got = MinimalResolution(alg, degree).stages
+    assert [st.gen_weights for st in got] == \
+        [st.gen_weights for st in expected]
+    assert [[list(e.items()) for e in st.differential] for st in got] == \
+        [[list(e.items()) for e in st.differential] for st in expected]
+
+
+def test_a3_p5_degree_4_matches_prediction():
+    """A3 p=5 through degree 4, which the May weights bring to about a
+    second, against the Frobenius-kernel prediction `verify suite` uses."""
+    rs = build("A3")
+    gc, res = ext_dims(build_algebra((), 5, rs), 4)
+    assert gc.dims() == [1, 3, 11, 24, 56]
+    fk = frobenius_kernel_character((0, 0, 0), (), rs, enumerate_group(rs),
+                                    "modular", 5, 4)
+    assert gc == fk.collapse()
+
+
 # -- images by left multiplication ---------------------------------------
 
 
@@ -313,68 +349,61 @@ def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
 
 
 @pytest.mark.parametrize("label,p,degree", (("B2", 5, 4), ("A2", 3, 6)))
-def test_stage_memo_holds_only_images_still_to_be_read(monkeypatch, label,
-                                                       p, degree):
-    """An image at weight w is read only at w + gamma, so when `_stage`
-    builds an image its memo holds no image more than `reach` (the largest
-    height of a nilradical root) below it; and no image is dropped before
-    its last reader: no memo, neither a stage's own nor the one its kernel
-    rebuilds read, builds an image twice.  Each image of a visited block is
-    built once or set to {} where K one step lower is 0, also past the
-    point where the span at that weight stops; the memo holds no other."""
+def test_stage_builds_each_image_once_and_spans_only_may_weights(
+        monkeypatch, label, p, degree):
+    """No memo, neither a stage's own nor the one its kernel rebuilds read,
+    builds an image twice; stage n creates one Span without combinations at
+    each weight of W_n (`_may_weights`) where K is not 0, and at no other
+    weight; and every memo is unreachable once the build ends."""
     alg = build_algebra((), p, build(label))
-    form = _height_form(alg.rs)
-
-    def height(wt):
-        return sum(map(mul, form, wt))
-
-    reach = max(height(f) for f in alg._root_fund)
-    mono_height = [height(w) for w in alg.weights]
-    depths, built, blocks, zeros, scanned = [], {}, {}, {}, set()
-    image, block = MinimalResolution._image, MinimalResolution._block
-
-    def key_height(stage, key):
-        # generator s of the stage being built, numbered in the order found
-        s, i = divmod(key, alg.dimension)
-        return height(stage.gen_weights[s]) + mono_height[i]
+    memos, built, kdims, events = {}, set(), {}, []
+    image, block, stage = (MinimalResolution._image, MinimalResolution._block,
+                           MinimalResolution._stage)
 
     def recording_image(self, images, memo, key):
-        deg = len(self._coded) - 1
-        own = images is self._coded[deg]
-        seen = built.setdefault((deg, own), set())
+        memos[id(memo)] = memo
         if key % alg.dimension and key not in memo:
-            assert key not in seen
-            seen.add(key)
-            top = key_height(self.stages[deg], key) if own else None
-            if own and (deg, top) not in scanned:
-                # the first image built at this height: the memo drops
-                # images when a weight is visited, not between images
-                scanned.add((deg, top))
-                depths.extend(top - key_height(self.stages[deg], k)
-                              for k in memo)
-        elif own and key % alg.dimension and key not in seen:
-            assert memo[key] == {}
-            zeros.setdefault(deg, set()).add(key)
+            assert (id(memo), key) not in built
+            built.add((id(memo), key))
         return image(self, images, memo, key)
 
     def recording_block(self, gens, wt):
-        keys = block(self, gens, wt)
-        if isinstance(next(iter(gens.values()), None), range):
-            # the stage's own generators, numbered in the order found
-            blocks.setdefault(len(self._coded) - 1, []).extend(keys)
-        return keys
+        n = len(self._coded) - 1
+        if gens is not self._liftings[n - 1][0]:
+            events.append((n, wt))  # the stage's own generators
+        return block(self, gens, wt)
+
+    def recording_stage(self, n, kdim):
+        kdims[n] = kdim
+        return stage(self, n, kdim)
+
+    class RecordingSpan(Span):
+        def drop_combinations(self):
+            events.append("span")
+            super().drop_combinations()
 
     monkeypatch.setattr(MinimalResolution, "_image", recording_image)
     monkeypatch.setattr(MinimalResolution, "_block", recording_block)
+    monkeypatch.setattr(MinimalResolution, "_stage", recording_stage)
+    monkeypatch.setattr(restricted, "Span", RecordingSpan)
     MinimalResolution(alg, degree)
-    assert depths and max(depths) <= reach
-    assert sorted(built) == [(n, own) for n in range(1, degree + 1)
-                             for own in (False, True)]
-    assert zeros
-    for n, keys in blocks.items():
-        kept, empty = built[n, True], zeros.get(n, set())
-        assert len(keys) == len(set(keys)) == len(kept) + len(empty)
-        assert kept | empty == set(keys)
+    # each span is followed by the block of the weight it spans
+    spanned = [events[i + 1] for i, e in enumerate(events) if e == "span"]
+    assert "span" not in spanned
+    for n in range(1, degree + 1):
+        may = _may_weights(alg, n)
+        expected = sorted(wt for wt in may if kdims[n].get(wt))
+        assert expected
+        assert sorted(wt for m, wt in spanned if m == n) == expected
+    # stages 1 to degree each read two memos: the images of their own
+    # differential and, for the kernel rebuilds, those of the one below
+    assert len(memos) == 2 * degree
+    assert len(built) == sum(map(len, memos.values()))
+    gc.collect()
+    for memo in memos.values():
+        holders = [r for r in gc.get_referrers(memo)
+                   if r is not memos and not inspect.isframe(r)]
+        assert holders == []
 
 
 # -- the May bound and the generating roots --------------------------------
@@ -391,19 +420,52 @@ CAP_IDS = tuple(f"{label}-p{p}{'-J' if J else ''}{''.join(map(str, J))}"
                 f"-d{degree}" for label, p, J, degree in CAP_CASES)
 
 
+def _everywhere(alg, n):
+    """Every weight of the positive root lattice up to n times the top
+    weight of A, in each simple-root coordinate: F_(n-1), and with it K,
+    lies there, since each generator of F_k lies in K_(k-1) inside
+    F_(k-1)."""
+    top = [(alg.p - 1) * sum(col) for col in zip(*alg.roots)]
+    return {alg.rs.root_to_fund(c)
+            for c in product(*(range(n * t + 1) for t in top))}
+
+
 @pytest.fixture(scope="module")
 def uncapped():
-    """Each CAP_CASES resolution built with `_may_bound` patched to
-    infinity, so every stage visits every weight; built on first use."""
+    """Each CAP_CASES resolution built with `_may_weights` patched to
+    `_everywhere`, so that stage n visits every weight where K is not 0;
+    built on first use.  Each build is checked to visit exactly those
+    weights, and some weight off W_n."""
     built = {}
+    block, stage = MinimalResolution._block, MinimalResolution._stage
 
     def get(label, p, J, degree):
-        if (label, p, J, degree) not in built:
-            alg = build_algebra(J, p, build(label))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(restricted, "_may_bound", lambda alg, n: math.inf)
-                built[label, p, J, degree] = MinimalResolution(alg, degree)
-        return built[label, p, J, degree]
+        if (label, p, J, degree) in built:
+            return built[label, p, J, degree]
+        alg = build_algebra(J, p, build(label))
+        visits, nonzero = {}, {}
+
+        def recording_block(self, gens, wt):
+            n = len(self._coded) - 1
+            if gens is not self._liftings[n - 1][0]:
+                visits.setdefault(n, set()).add(wt)
+            return block(self, gens, wt)
+
+        def recording_stage(self, n, kdim):
+            nonzero[n] = {wt for wt, k in kdim.items() if k}
+            return stage(self, n, kdim)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(restricted, "_may_weights", _everywhere)
+            mp.setattr(MinimalResolution, "_block", recording_block)
+            mp.setattr(MinimalResolution, "_stage", recording_stage)
+            res = built[label, p, J, degree] = MinimalResolution(alg, degree)
+        assert visits == nonzero
+        off = [wt for n, wts in visits.items() for wt in wts
+               if wt not in _may_weights(alg, n)]
+        # u(u) = k[x]/(x^2) is periodic: K is nonzero only on W_n
+        assert off or (label, p) == ("A1", 2)
+        return res
     return get
 
 
@@ -435,6 +497,38 @@ def test_may_bound_holds_and_is_reached_in_even_degrees(uncapped, label, p,
         assert top <= bound
         if st.degree % 2 == 0:
             assert top == bound
+
+
+@pytest.mark.parametrize("label,p,J,degree", CAP_CASES, ids=CAP_IDS)
+def test_may_weights_hold_every_generator(uncapped, label, p, J, degree):
+    """Without the cap, every generator of degree n lies in W_n, and H_n is
+    the largest height over W_n: p i R + (the sum of the j largest root
+    heights) at best over 2i + j = n, R the largest root height."""
+    res = uncapped(label, p, J, degree)
+    alg = res.alg
+    form = _height_form(alg.rs)
+    heights = sorted((sum(map(mul, form, f)) for f in alg._root_fund),
+                     reverse=True)
+    for st in res.stages:
+        n, may = st.degree, _may_weights(alg, st.degree)
+        assert set(st.gen_weights) <= may
+        assert _may_bound(alg, n) == max(sum(map(mul, form, wt))
+                                          for wt in may)
+        assert _may_bound(alg, n) == max(
+            p * i * heights[0] + sum(heights[:n - 2 * i])
+            for i in range(n // 2 + 1) if n - 2 * i <= len(heights))
+
+
+@pytest.mark.parametrize("label,J", (("A2", ()), ("B2", ()), ("G2", (1,)),
+                                     ("A3", (0,))))
+def test_may_weights_for_p2_are_those_of_the_symmetric_power(label, J):
+    """For p = 2, W_n is the set of sums of n nilradical roots, repeats
+    allowed: the weights of S^n(u_J*)."""
+    alg = build_algebra(J, 2, build(label))
+    for n in range(6):
+        sums = {tuple(map(sum, zip((0,) * alg.rs.rank, *roots)))
+                for roots in combinations_with_replacement(alg._root_fund, n)}
+        assert _may_weights(alg, n) == sums
 
 
 @pytest.mark.parametrize("label,p,J,degree", CAP_CASES, ids=CAP_IDS)
