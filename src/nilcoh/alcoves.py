@@ -87,14 +87,6 @@ def in_alcove(lam: tuple, p: int, rs: RootSystem, closed: bool = False) -> bool:
     return True
 
 
-def j_restricted(mu: tuple, J, p: int, rs: RootSystem) -> bool:
-    """mu in (X_J)_1: J-dominant with (mu, alpha^vee) < p for alpha in J."""
-    for beta in rs.phi_j_plus(J):
-        if rs.pairing(mu, beta) < 0:
-            return False
-    return all(mu[i] < p for i in J)
-
-
 def weak_linkage(lam: tuple, modulus: int, rs: RootSystem,
                  group: WeylGroup) -> LinkageDatum | None:
     """The unique (w, sigma) with lam = w.0 + modulus*sigma, or None.

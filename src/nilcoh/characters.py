@@ -34,10 +34,6 @@ class FormalCharacter:
     def single(cls, mu, mult=1):
         return cls({tuple(mu): mult})
 
-    @classmethod
-    def trivial(cls, rank):
-        return cls({(0,) * rank: 1})
-
     def dim(self) -> int:
         return sum(self.support.values())
 
@@ -77,10 +73,6 @@ class FormalCharacter:
     def to_json(self):
         return [[list(mu), m] for mu, m in self.items()]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({tuple(mu): m for mu, m in data})
-
     def __repr__(self):
         return f"FormalCharacter({dict(self.items())})"
 
@@ -106,9 +98,6 @@ class GradedCharacter:
 
     def dims(self) -> list[int]:
         return [chi.dim() for chi in self.degrees]
-
-    def poincare(self) -> str:
-        return format_poincare(self.dims())
 
     def __eq__(self, other):
         if not isinstance(other, GradedCharacter):

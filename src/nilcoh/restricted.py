@@ -7,13 +7,14 @@ from-first-principles check of the character-level predictions.
 
 Each stage of the resolution is one pass over the weights in order of
 height, in the manner of R. Bruner, "Calculation of large Ext modules"
-(1989).  The dimension of K = ker d_(n-1) at every weight is known before
-stage n starts, from the generator weights alone: 0 -> K_n -> F_n ->
-K_(n-1) -> 0 is exact, so dim K_n = dim F_n - dim K_(n-1) weight by weight
-(`_kernel_dims`).  At each weight the images d(a g) of the basis elements
-above generators of lower weight span A_+K there; where that span is
-smaller than K, a basis of K is rebuilt from d_(n-1) and the elements the
-span misses are the new generators.  No kernel passes between stages.
+(1989).  The dimension of K = ker d_(n-1) at a weight is read off the
+finished stages alone: 0 -> K_(n-1) -> F_(n-1) -> ... -> F_0 -> k -> 0 is
+exact, so dim K_(n-1) is the alternating sum of dim F_k over k < n, less
+(-1)^(n-1) at weight 0 (`MinimalResolution._kernel_dim`).  At each weight
+the images d(a g) of the basis elements above generators of lower weight
+span A_+K there; where that span is smaller than K, a basis of K is
+rebuilt from d_(n-1) and the elements the span misses are the new
+generators.  No kernel passes between stages.
 
 Each stage visits only the May weights.  May's filtration gives the
 Friedlander-Parshall spectral sequence E_2^{2i,j} = S^i(u_J*)^(1) (x)
@@ -21,14 +22,14 @@ H^j(u_J, k) => H^{2i+j}((U_J)_1, k) (Friedlander-Parshall, Amer. J. Math.
 108, 1986; J. P. May, J. Algebra 3, 1966), which is T-equivariant, so every
 stage-n generator has a weight in W_n, the set of p (a sum of i nilradical
 roots, repeats allowed) + (a sum of j distinct ones) over 2i + j = n
-(`_may_weights`; `_may_bound` is its largest height).  Stage n visits only
-the weights of W_n where K is not 0.  Skipping the others is exact: no
-generator lies there, so the span would take all of K at each of them; a
-visit leaves nothing behind but the generators it finds, and the images a
-block needs are built from lower ones wherever those lie; and every
-generator of F_n is known, so dim F_n, and with it dim K_n, is exact at
-every weight.  Where a weight gets generators, the span has taken every
-image of its block, so the stages are those of a build that visits every
+(`_may_weights`).  Stage n visits only the weights of W_n where K is not
+0, and counts K only there.  Skipping the others is exact: no generator
+lies there, so the span would take all of K at each of them; a visit
+leaves nothing behind but the generators it finds, and the images a block
+needs are built from lower ones wherever those lie; and every generator
+of F_n is known, so dim F_n, and with it dim K_n, is exact at every
+weight.  Where a weight gets generators, the span has taken every image
+of its block, so the stages are those of a build that visits every
 weight.
 
 Each image is derived from one a step lower, as in Bruner's scheme: with h
@@ -52,17 +53,17 @@ no tuple is hashed in the inner loop.  x_g acts through `gen_index`, the
 one table of products x_g x^m, straightened on indices when first read;
 `mult_gen` decodes it to monomials for `mult_mono`.  The algebra lists its
 monomials' weights by index and its monomials by weight once, and the keys
-of a free module at one weight come from one helper (`_block`).  Each stage
-decodes its differential to {(s, m): coeff} once, at its end;
-`check_minimal` and `check_complex` read only that form.
+of a free module at one weight come from one helper (`_block`).  Each
+finished stage is one `ResolutionStage`, which also holds its differential
+decoded to {(s, m): coeff}; `check_minimal` and `check_complex` read only
+that form.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
-from operator import add, mul
+from operator import mul, sub
 
 from .alcoves import PreconditionError, require_prime
 from .characters import FormalCharacter, GradedCharacter
@@ -218,19 +219,27 @@ def build_algebra(J, p: int, rs: RootSystem) -> RestrictedAlgebra:
 # int key per basis element: x^m e_s has key s * p^n + mono_index(m), so
 # the keys of one generator form a block in lexicographic monomial order.
 # The T-weight of x^m e_s is gen_weight[s] + weight(m); differentials
-# preserve weight, so kernels split into small blocks.  A finished stage
-# decodes its differential to {(s, monomial): coeff} once.
+# preserve weight, so kernels split into small blocks.
 
 
 class ResolutionStage:
-    def __init__(self, degree: int, gen_weights: list, differential: list):
+    """The finished stage F_degree.  Per generator, numbered by weight: its
+    weight (fund coords) and its image under the differential, an element
+    of the previous stage, both int-keyed (`coded`, what the build and the
+    Yoneda lifts read) and as {(s, monomial): coeff} (`differential`).
+    Stage 0 has one generator of weight 0 and the zero map [{}] to k."""
+
+    def __init__(self, alg: RestrictedAlgebra, degree: int, gen_weights: list,
+                 coded: list):
         self.degree = degree
-        self.gen_weights = gen_weights  # weight of each generator (fund coords)
-        # per generator: element of the previous stage, {(s, monomial):
-        # coeff}; stage 0 has one generator of weight 0 and differential
-        # [] -> k.  While a stage is built it holds its generators
-        # int-keyed, in the order found.
-        self.differential = differential
+        self.gen_weights = gen_weights
+        self.gens: dict[tuple, list] = {}  # weight -> generator numbers
+        for s, wt in enumerate(gen_weights):
+            self.gens.setdefault(wt, []).append(s)
+        self.coded = coded
+        dim, monomials = alg.dimension, alg.monomials
+        self.differential = [{(key // dim, monomials[key % dim]): c
+                              for key, c in elem.items()} for elem in coded]
 
 
 class MinimalResolution:
@@ -238,11 +247,11 @@ class MinimalResolution:
         self.alg = alg
         self.max_degree = max_degree
         self.stages: list[ResolutionStage] = []
-        # each stage's differential, int-keyed: what the build and the
-        # Yoneda lifts read
-        self._coded: list[list[dict]] = []
-        # lifting degree -> what `yoneda_product` reads there; filled by
-        # the first product that lifts through that degree
+        # lifting degree k -> (memo of d_k images, weight -> (span of the
+        # d_k images of that `_block`, the keys it kept)), what
+        # `yoneda_product` reads there.  None of it depends on the classes
+        # multiplied, so every product on this resolution shares it; it
+        # fills in as products reach it.
         self._liftings: dict[int, tuple] = {}
         self._build()
 
@@ -256,7 +265,7 @@ class MinimalResolution:
         dim, by_weight = alg.dimension, alg.by_weight
         keys = []
         for w in sorted(gens):
-            monos = by_weight.get(tuple(a - b for a, b in zip(wt, w)))
+            monos = by_weight.get(tuple(map(sub, wt, w)))
             if monos:
                 keys.extend([s * dim + i for s in gens[w] for i in monos])
         return keys
@@ -324,7 +333,7 @@ class MinimalResolution:
         images come from `_image` with `memo`, a memo of d_degree images
         (a new one when None)."""
         p = self.alg.p
-        diff = self._coded[degree]
+        diff = self.stages[degree].coded
         memo = {} if memo is None else memo
         span = Span(p)
         kept, kernel = [], []
@@ -338,76 +347,60 @@ class MinimalResolution:
                 kernel.append(elem)
         return span, kept, kernel
 
-    def _lifting(self, k: int):
-        """(generators of F_k by weight, memo of d_k images, weight ->
-        (span of the d_k images of that `_block`, the keys it kept)).
-        None of it depends on the classes multiplied, so every Yoneda
-        product on this resolution shares it; the spans fill in as
-        products reach them."""
-        lifting = self._liftings.get(k)
-        if lifting is None:
-            gens: dict[tuple, list] = {}
-            for s, wt in enumerate(self.stages[k].gen_weights):
-                gens.setdefault(wt, []).append(s)
-            lifting = self._liftings[k] = (gens, {}, {})
-        return lifting
+    def _kernel_dim(self, n: int, wt: tuple) -> int:
+        """dim K_n at weight wt, K_n = ker d_n, from stages 0 to n alone:
+        0 -> K_n -> F_n -> K_(n-1) -> 0 is exact for each n, with K_(-1) =
+        k at weight 0, so dim K_n = dim F_n - dim K_(n-1), weight by
+        weight."""
+        count = int(not any(wt))
+        for st in self.stages[:n + 1]:
+            count = len(self._block(st.gens, wt)) - count
+        return count
 
     def _build(self):
-        alg = self.alg
-        zero = (0,) * alg.rs.rank
-        self.stages.append(ResolutionStage(0, [zero], []))
+        zero = (0,) * self.alg.rs.rank
         # d_0 as the zero map: at a weight other than 0 its kernel is the
         # whole block of A, the augmentation ideal A_+
-        self._coded.append([{}])
-        # dim K_(degree-1) by weight up to the top stage's bound, from
-        # dim k = 1 at weight 0 under F_0
-        top = _may_bound(alg, self.max_degree)
-        kdim = {zero: 1}
+        self.stages.append(ResolutionStage(self.alg, 0, [zero], [{}]))
         for degree in range(1, self.max_degree + 1):
-            kdim = _kernel_dims(alg, self.stages[degree - 1].gen_weights,
-                                kdim, top)
-            self._stage(degree, kdim)
+            self._stage(degree)
 
-    def _stage(self, degree: int, kdim: dict):
-        """Choose the stage-`degree` generators, given `kdim`, dim K by
-        weight for K = ker d_{degree-1} (see `_kernel_dims`).
+    def _stage(self, degree: int):
+        """Choose the stage-`degree` generators and append the stage.
 
-        Only the weights of W_degree (`_may_weights`) where K is not 0 are
-        visited, by height, so every generator of lower weight is known at
-        wt.  A_+K at wt is spanned by the images of the block {a g : a in
-        A_+, g of lower weight}; a Span without combinations takes them
-        until it is all of K, and dim K less its size, `need`, is the
-        number of new generators at wt.  Only where `need` is positive is
-        a basis of K at wt rebuilt, by `_d_block` on d_{degree-1} over the
-        block of F_{degree-1} at wt, and the first `need` of its elements
-        that the span misses are the new generators.  The span has then
-        taken every image of the block.  That block also holds the
-        generators of F_{degree-1} at wt; their images were chosen outside
-        the span of the rest of it, so they are kept and add or change no
-        kernel element.  Likewise a new generator's image lies outside
-        A_+K, so leaving it out of the block changes no span.
+        Only the weights of W_degree (`_may_weights`) where K = ker
+        d_{degree-1} is not 0 (`_kernel_dim`) are visited, by height, so
+        every generator of lower weight is known at wt.  A_+K at wt is
+        spanned by the images of the block {a g : a in A_+, g of lower
+        weight}; a Span without combinations takes them until it is all
+        of K, and dim K less its size, `need`, is the number of new
+        generators at wt.  Only where `need` is positive is a basis of K
+        at wt rebuilt, by `_d_block` on d_{degree-1} over the block of
+        F_{degree-1} at wt, and the first `need` of its elements that the
+        span misses are the new generators.  The span has then taken
+        every image of the block.  That block also holds the generators
+        of F_{degree-1} at wt; their images were chosen outside the span
+        of the rest of it, so they are kept and add or change no kernel
+        element.  Likewise a new generator's image lies outside A_+K, so
+        leaving it out of the block changes no span.
 
         The images are built on demand: `_image` builds the lower images
         of a chain into the stage's memo, which is never evicted, so none
         is built twice."""
         alg = self.alg
-        dim = alg.dimension
-        # the generators numbered in the order found: `_image` reads their
-        # images from `_coded`, and a provisional stage holds them with
-        # their weights until they are renumbered
+        # the weights and images of the generators, in the order found
         gen_weights: list[tuple] = []
         diff: list[dict] = []
-        self.stages.append(ResolutionStage(degree, gen_weights, diff))
-        self._coded.append(diff)
-        prev = self._lifting(degree - 1)[0]  # F_{degree-1} by weight
+        prev = self.stages[degree - 1].gens  # F_{degree-1} by weight
         images: dict = {}  # memo of d(a g) for this stage only
         below: dict = {}  # memo of d_{degree-1} images for the rebuilds
         found: dict[tuple, range] = {}  # weight -> generators there
         form = _height_form(alg.rs)
         for _, wt in sorted((sum(map(mul, form, wt)), wt)
-                            for wt in _may_weights(alg, degree)
-                            if kdim.get(wt)):
-            full = kdim[wt]
+                            for wt in _may_weights(alg, degree)):
+            full = self._kernel_dim(degree - 1, wt)
+            if not full:
+                continue
             span = Span(alg.p)
             span.drop_combinations()
             for key in self._block(found, wt):
@@ -433,12 +426,9 @@ class MinimalResolution:
             gen_weights.extend([wt] * len(gens))
         # number the generators by weight, then in the order found
         order = sorted(range(len(diff)), key=gen_weights.__getitem__)
-        coded = self._coded[degree] = [diff[s] for s in order]
-        monomials = alg.monomials
-        self.stages[degree] = ResolutionStage(
-            degree, [gen_weights[s] for s in order],
-            [{(key // dim, monomials[key % dim]): c
-              for key, c in elem.items()} for elem in coded])
+        self.stages.append(ResolutionStage(
+            alg, degree, [gen_weights[s] for s in order],
+            [diff[s] for s in order]))
 
     # -- outputs -------------------------------------------------------
 
@@ -487,27 +477,6 @@ def _height_form(rs: RootSystem) -> tuple:
     return tuple(int(c * den) for c in cols)
 
 
-def _kernel_dims(alg: RestrictedAlgebra, gen_weights: list, below: dict,
-                 top: int) -> dict:
-    """dim K_n by weight up to height `top`: dim F_n - dim K_(n-1), the
-    Euler characteristic of 0 -> K_n -> F_n -> K_(n-1) -> 0.  F_n is free
-    on generators of the weights `gen_weights`, all of them (none lies
-    above the May bound), and `below` is dim K_(n-1) by weight ({0: 1},
-    the trivial module, under F_0)."""
-    form = _height_form(alg.rs)
-    ups = sorted((sum(map(mul, form, mw)), mw, len(monos))
-                 for mw, monos in alg.by_weight.items())
-    out = {wt: -d for wt, d in below.items()}
-    for gw, count in Counter(gen_weights).items():
-        gh = sum(map(mul, form, gw))
-        for mh, mw, size in ups:
-            if gh + mh > top:
-                break
-            wt = tuple(map(add, gw, mw))
-            out[wt] = out.get(wt, 0) + count * size
-    return out
-
-
 def _may_weights(alg: RestrictedAlgebra, n: int) -> set:
     """W_n, in fundamental coordinates: the weights p (a sum of i
     nilradical roots, repeats allowed) + (a sum of j distinct ones) with
@@ -529,15 +498,6 @@ def _may_weights(alg: RestrictedAlgebra, n: int) -> set:
             for i in range(n // 2 + 1)
             for sym in sums(combinations_with_replacement, i)
             for ext in sums(combinations, n - 2 * i)}
-
-
-def _may_bound(alg: RestrictedAlgebra, n: int) -> int:
-    """H_n, in `_height_form` units: the largest height over W_n
-    (`_may_weights`), so no T-weight of Ext^n has larger height; 0 when
-    W_n is empty."""
-    form = _height_form(alg.rs)
-    return max((sum(map(mul, form, wt)) for wt in _may_weights(alg, n)),
-               default=0)
 
 
 def ext_dims(alg: RestrictedAlgebra, max_degree: int = 4):
@@ -569,7 +529,13 @@ def yoneda_product(res: MinimalResolution, z1, z2):
     """Yoneda/cup product of dual-basis classes z = (degree, gen_index).
 
     Lifts z2 to a chain map g_k: F_{d2+k} -> F_k and returns the composite
-    z1 o g_{d1} as {gen index in degree d1+d2: coeff}."""
+    z1 o g_{d1} as {gen index in degree d1+d2: coeff}.  A class the
+    resolution does not hold raises ValueError."""
+    betti = res.betti()
+    for degree, index in (z1, z2):
+        if not (0 <= degree < len(betti) and 0 <= index < betti[degree]):
+            raise ValueError(f"no class ({degree}, {index}): the computed"
+                             f" Betti numbers are {betti}")
     d1, g1idx = z1
     d2, g2idx = z2
     alg = res.alg
@@ -583,8 +549,8 @@ def yoneda_product(res: MinimalResolution, z1, z2):
     chain[0] = [({0: 1} if s == g2idx else {})
                 for s in range(len(res.stages[d2].gen_weights))]
     for k in range(1, d1 + 1):
-        src = res._coded[d2 + k]
-        gens, d_images, d_blocks = res._lifting(k)
+        src = res.stages[d2 + k].coded
+        d_images, d_blocks = res._liftings.setdefault(k, ({}, {}))
         g_images: dict = {}  # memo of a g_{k-1}(e_t), for this call and k
         maps = []
         for s, swt in enumerate(res.stages[d2 + k].gen_weights):
@@ -599,8 +565,8 @@ def yoneda_product(res: MinimalResolution, z1, z2):
             wt = tuple(a - b for a, b in
                        zip(swt, res.stages[d2].gen_weights[g2idx]))
             if wt not in d_blocks:
-                d_blocks[wt] = res._d_block(k, res._block(gens, wt),
-                                            d_images)[:2]
+                d_blocks[wt] = res._d_block(
+                    k, res._block(res.stages[k].gens, wt), d_images)[:2]
             span, kept = d_blocks[wt]
             sol = span.express(rhs)
             if sol is None:
@@ -614,7 +580,7 @@ def yoneda_product(res: MinimalResolution, z1, z2):
     out = {}
     for s in range(len(res.stages[total].gen_weights)):
         val = chain[d1][s].get(g1idx * alg.dimension, 0) if d1 > 0 else \
-            (1 if s == g2idx and g1idx == 0 else 0)
+            int(s == g2idx)
         if val % p:
             out[s] = val % p
     return out

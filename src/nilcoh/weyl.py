@@ -167,16 +167,6 @@ class WeylGroup:
             self._by_mask = {self.inversion_mask(w): w for w in self.elements}
         return self._by_mask.get(mask)
 
-    def element_with_inversion_set(self, roots: frozenset) -> WeylElement | None:
-        index = self.rs.pos_index
-        mask = 0
-        for beta in roots:
-            k = index.get(beta)
-            if k is None:
-                return None
-            mask |= 1 << k
-        return self.element_with_mask(mask)
-
     def min_coset_reps(self, J) -> list[WeylElement]:
         """^JW: w with (w rho)_i > 0 for i in J, sorted by (length, word)."""
         J = sorted(set(J))

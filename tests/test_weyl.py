@@ -46,13 +46,16 @@ def test_inversion_set_size_is_length():
 
 
 def test_element_with_inversion_set():
+    """`element_with_mask` inverts `inversion_mask`: an element is
+    determined by its inversion set, and {alpha_1, alpha_2}, which is not
+    closed under sums, is the inversion set of no element of B2."""
     rs = build("B2")
     g = enumerate_group(rs)
     for w in g.elements:
-        assert g.element_with_inversion_set(
-            frozenset(g.inversion_set(w))) == w
-    assert g.element_with_inversion_set(
-        frozenset({(1, 0), (0, 1)})) is None or True  # may or may not exist
+        assert g.element_with_mask(g.inversion_mask(w)) == w
+    index = rs.pos_index
+    assert g.element_with_mask(
+        1 << index[(1, 0)] | 1 << index[(0, 1)]) is None
 
 
 def test_min_coset_reps():
