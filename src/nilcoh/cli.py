@@ -190,6 +190,9 @@ def _add_common(sp, flags):
 
 def _mode_modulus(args, rs):
     l = getattr(args, "l", None)  # `verify suite` has no --l
+    if l is not None and getattr(args, "p", None) is not None:
+        raise PreconditionError(
+            "give --p (modular) or --l (quantum), not both")
     if l is not None:
         mode, flag, modulus = "quantum", "--l", l
     elif args.p is not None:
@@ -247,6 +250,9 @@ def build_parser():
 def _run(args) -> dict:
     rs = _parse_type(args.type)
     cmd = args.command
+    if getattr(args, "max_degree", 0) < 0:
+        raise PreconditionError(
+            f"max_degree must be >= 0, got {args.max_degree}")
 
     if cmd == "rootsys":
         return rs.to_json()
@@ -372,7 +378,7 @@ def _run(args) -> dict:
                     f" s2 s1 . 0 = {list(wt)} to be one-dimensional, found"
                     f" {found} classes")
             example = square_certificate(res, 2, wt)
-        return certificate(alg, res, example)
+        return certificate(res, example)
 
     if cmd == "verify":
         mode, modulus = _mode_modulus(args, rs)

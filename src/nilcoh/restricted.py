@@ -45,18 +45,19 @@ from, are built.
 `check_complex` reads d^2 = 0 through them, so the check and the build
 multiply by two different paths.
 
-Inside the build, a basis element x^m e_s of a free module A^r is one int,
-s p^n + index(m), where index(m) = sum m_k p^(n-1-k) is the position of m in
-lexicographic order; so the key of x^(m - e_h) e_s is the key less
-p^(n-1-h), block order and dict order are those of the (s, m) tuples, and
-no tuple is hashed in the inner loop.  x_g acts through `gen_index`, the
-one table of products x_g x^m, straightened on indices when first read;
-`mult_gen` decodes it to monomials for `mult_mono`.  The algebra lists its
-monomials' weights by index and its monomials by weight once, and the keys
-of a free module at one weight come from one helper (`_block`).  Each
-finished stage is one `ResolutionStage`, which also holds its differential
-decoded to {(s, m): coeff}; `check_minimal` and `check_complex` read only
-that form.
+A basis element x^m e_s of a free module A^r is one int, s p^n + index(m),
+where index(m) = sum m_k p^(n-1-k) is the position of m in lexicographic
+order; so the key of x^(m - e_h) e_s is the key less p^(n-1-h)
+(`RestrictedAlgebra._step`), block order and dict order are those of the
+(s, m) tuples, and no tuple is hashed in the inner loop.  x_g acts through
+`gen_index`, the one table of products x_g x^m, straightened on indices
+when first read; `mult_gen` decodes it to monomials for `mult_mono`.  The
+algebra's one weight table lists its monomials by weight (`by_weight`),
+and the keys of a free module at one weight come from one helper
+(`_block`).  Each finished stage is one `ResolutionStage`, which holds its
+differential in the int-keyed form only: `check_minimal` reads a unit
+coefficient as a key divisible by p^n, and `_apply` decodes the keys as it
+multiplies through `mult_mono`.
 """
 
 from __future__ import annotations
@@ -107,13 +108,13 @@ class RestrictedAlgebra:
         self._step = [p ** (self.n - 1 - k) for k in range(self.n)]
         self.gen_index: list[list] = [[None] * self.dimension
                                       for _ in range(self.n)]
-        # T-weight of each monomial by index (sum of a_gamma * gamma, fund
-        # coords), and {weight: increasing indices}; the unit is alone at
-        # weight 0, so the other blocks are the basis of A_+ by weight
-        self.weights = [tuple(sum(a * f[t] for a, f in zip(m, self._root_fund))
-                              for t in range(rs.rank)) for m in self.monomials]
+        # {T-weight: increasing indices}, the weight of x^a being sum
+        # a_gamma * gamma in fund coords; the unit is alone at weight 0, so
+        # the other blocks are the basis of A_+ by weight
         self.by_weight: dict[tuple, list] = {}
-        for i, wt in enumerate(self.weights):
+        for i, m in enumerate(self.monomials):
+            wt = tuple(sum(a * f[t] for a, f in zip(m, self._root_fund))
+                       for t in range(rs.rank))
             self.by_weight.setdefault(wt, []).append(i)
 
     def _check_restricted(self):
@@ -215,31 +216,26 @@ def build_algebra(J, p: int, rs: RootSystem) -> RestrictedAlgebra:
 # ----------------------------------------------------------------------
 # Minimal resolution
 #
-# Inside the build a free module element is a dict {key: coeff} with one
-# int key per basis element: x^m e_s has key s * p^n + mono_index(m), so
-# the keys of one generator form a block in lexicographic monomial order.
-# The T-weight of x^m e_s is gen_weight[s] + weight(m); differentials
+# A free module element is a dict {key: coeff} with one int key per
+# basis element: x^m e_s has key s * p^n + mono_index(m), so the keys of
+# one generator form a block in lexicographic monomial order.  The
+# T-weight of x^m e_s is gen_weight[s] + weight(m); differentials
 # preserve weight, so kernels split into small blocks.
 
 
 class ResolutionStage:
     """The finished stage F_degree.  Per generator, numbered by weight: its
-    weight (fund coords) and its image under the differential, an element
-    of the previous stage, both int-keyed (`coded`, what the build and the
-    Yoneda lifts read) and as {(s, monomial): coeff} (`differential`).
-    Stage 0 has one generator of weight 0 and the zero map [{}] to k."""
+    weight (fund coords) and its image under the differential, an
+    int-keyed element of the previous stage.  Stage 0 has one generator of
+    weight 0 and the zero map [{}] to k."""
 
-    def __init__(self, alg: RestrictedAlgebra, degree: int, gen_weights: list,
-                 coded: list):
+    def __init__(self, degree: int, gen_weights: list, differential: list):
         self.degree = degree
         self.gen_weights = gen_weights
         self.gens: dict[tuple, list] = {}  # weight -> generator numbers
         for s, wt in enumerate(gen_weights):
             self.gens.setdefault(wt, []).append(s)
-        self.coded = coded
-        dim, monomials = alg.dimension, alg.monomials
-        self.differential = [{(key // dim, monomials[key % dim]): c
-                              for key, c in elem.items()} for elem in coded]
+        self.differential = differential
 
 
 class MinimalResolution:
@@ -253,7 +249,11 @@ class MinimalResolution:
         # multiplied, so every product on this resolution shares it; it
         # fills in as products reach it.
         self._liftings: dict[int, tuple] = {}
-        self._build()
+        # d_0 as the zero map: at a weight other than 0 its kernel is the
+        # whole block of A, the augmentation ideal A_+
+        self.stages.append(ResolutionStage(0, [(0,) * alg.rs.rank], [{}]))
+        for degree in range(1, max_degree + 1):
+            self._stage(degree)
 
     # -- helpers -------------------------------------------------------
 
@@ -271,17 +271,22 @@ class MinimalResolution:
         return keys
 
     def _apply(self, images, elem: dict) -> dict:
-        """sum c x^mono images[s] over the terms c (s, mono) of elem: with a
+        """sum c x^m images[s] over the terms c x^m e_s of elem: with a
         stage's differential as `images`, d of an element of that stage.
-        Each x^mono images[s] is formed by `mult_mono`, independently of
-        `_image`; `check_complex` reads d^2 = 0 through this path."""
+        The keys are decoded to monomials and each x^m images[s] is formed
+        by `mult_mono`, independently of `_image`; `check_complex` reads
+        d^2 = 0 through this path."""
         alg = self.alg
+        dim, monomials = alg.dimension, alg.monomials
         out: dict = {}
-        for (s, mono), c in elem.items():
-            for (t, m2), c2 in images[s].items():
-                for m3, c3 in alg.mult_mono(mono, m2).items():
-                    key = (t, m3)
-                    out[key] = (out.get(key, 0) + c * c2 * c3) % alg.p
+        for key, c in elem.items():
+            s, i = divmod(key, dim)
+            mono = monomials[i]
+            for key2, c2 in images[s].items():
+                t, j = divmod(key2, dim)
+                for m3, c3 in alg.mult_mono(mono, monomials[j]).items():
+                    k3 = t * dim + alg.mono_index(m3)
+                    out[k3] = (out.get(k3, 0) + c * c2 * c3) % alg.p
         return {k: v for k, v in out.items() if v}
 
     def _times(self, g: int, vec: dict) -> dict:
@@ -320,7 +325,7 @@ class MinimalResolution:
         if not i:
             return images[key // alg.dimension]
         h = alg.lead[i]
-        lower = self._image(images, memo, key - alg.p ** (alg.n - 1 - h))
+        lower = self._image(images, memo, key - alg._step[h])
         out = memo[key] = self._times(h, lower)
         return out
 
@@ -333,7 +338,7 @@ class MinimalResolution:
         images come from `_image` with `memo`, a memo of d_degree images
         (a new one when None)."""
         p = self.alg.p
-        diff = self.stages[degree].coded
+        diff = self.stages[degree].differential
         memo = {} if memo is None else memo
         span = Span(p)
         kept, kernel = [], []
@@ -356,14 +361,6 @@ class MinimalResolution:
         for st in self.stages[:n + 1]:
             count = len(self._block(st.gens, wt)) - count
         return count
-
-    def _build(self):
-        zero = (0,) * self.alg.rs.rank
-        # d_0 as the zero map: at a weight other than 0 its kernel is the
-        # whole block of A, the augmentation ideal A_+
-        self.stages.append(ResolutionStage(self.alg, 0, [zero], [{}]))
-        for degree in range(1, self.max_degree + 1):
-            self._stage(degree)
 
     def _stage(self, degree: int):
         """Choose the stage-`degree` generators and append the stage.
@@ -427,8 +424,7 @@ class MinimalResolution:
         # number the generators by weight, then in the order found
         order = sorted(range(len(diff)), key=gen_weights.__getitem__)
         self.stages.append(ResolutionStage(
-            alg, degree, [gen_weights[s] for s in order],
-            [diff[s] for s in order]))
+            degree, [gen_weights[s] for s in order], [diff[s] for s in order]))
 
     # -- outputs -------------------------------------------------------
 
@@ -448,14 +444,11 @@ class MinimalResolution:
         return gc
 
     def check_minimal(self) -> bool:
-        """No differential entry has a unit (constant-term) coefficient."""
-        zero_mono = (0,) * self.alg.n
-        for st in self.stages[1:]:
-            for elem in st.differential:
-                for (s, mono), c in elem.items():
-                    if mono == zero_mono and c % self.alg.p:
-                        return False
-        return True
+        """No differential entry has a unit (constant-term) coefficient:
+        no key x^0 e_s = s p^n with a coefficient nonzero mod p."""
+        dim, p = self.alg.dimension, self.alg.p
+        return not any(key % dim == 0 and c % p for st in self.stages[1:]
+                       for elem in st.differential for key, c in elem.items())
 
     def check_complex(self) -> bool:
         """d_{n-1} o d_n = 0 on every generator."""
@@ -549,7 +542,7 @@ def yoneda_product(res: MinimalResolution, z1, z2):
     chain[0] = [({0: 1} if s == g2idx else {})
                 for s in range(len(res.stages[d2].gen_weights))]
     for k in range(1, d1 + 1):
-        src = res.stages[d2 + k].coded
+        src = res.stages[d2 + k].differential
         d_images, d_blocks = res._liftings.setdefault(k, ({}, {}))
         g_images: dict = {}  # memo of a g_{k-1}(e_t), for this call and k
         maps = []
@@ -603,9 +596,8 @@ def square_certificate(res: MinimalResolution, degree: int, weight: tuple):
     }
 
 
-def certificate(alg: RestrictedAlgebra, res: MinimalResolution,
-                example=None) -> dict:
-    gc = res.ext_character()
+def certificate(res: MinimalResolution, example=None) -> dict:
+    alg, gc = res.alg, res.ext_character()
     out = {
         "type": alg.rs.label,
         "p": alg.p,

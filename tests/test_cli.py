@@ -227,6 +227,27 @@ def test_exit_code_2_on_negative_max_degree(capsys):
     _assert_input_error(capsys, ("ext", "--type", "A2", "--p", "5",
                                  "--max-degree", "-1"),
                         "max_degree must be >= 0, got -1")
+    for which, modulus in (("frobenius", ("--l", "7")),
+                           ("parabolic", ("--p", "7")), ("t1", ("--p", "7"))):
+        _assert_input_error(capsys, ("character", "--type", "A2", "--which",
+                                     which, *modulus, "--max-degree", "-2"),
+                            "max_degree must be >= 0, got -2")
+
+
+@pytest.mark.parametrize("command", (
+    "alcove", "linkage", "kostant", "character", "ring-table",
+    "verify sum-dot", "verify levi-weights", "verify dot-collisions"))
+def test_exit_code_2_on_p_with_l(capsys, command):
+    """--p asks for the modular mode and --l for the quantum one: a
+    command that declares both refuses them together rather than pick
+    one."""
+    flags = COMMANDS[command][1]
+    assert "p" in flags and "l" in flags
+    lam = ("--lambda", "0,0") if "lambda" in flags else ()
+    code, out, err = run_cli(capsys, *command.split(), "--type", "A2",
+                             "--p", "5", "--l", "7", *lam)
+    assert code == 2 and out == ""
+    assert "--p" in err and "--l" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("search", ("sum-dot", "levi-weights",

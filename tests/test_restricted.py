@@ -174,6 +174,32 @@ def test_yoneda_products_on_one_resolution_match_fresh_ones(b2_p5):
     assert any(shared)
 
 
+def test_check_minimal_finds_a_planted_unit_term():
+    """A unit term x^0 e_s, key s p^n, planted in a stage-2 differential
+    fails `check_minimal`."""
+    res = MinimalResolution(build_algebra((), 5, build("B2")), 4)
+    assert res.check_minimal()
+    elem = res.stages[2].differential[0]
+    key = res.alg.dimension  # x^0 e_1
+    assert key not in elem
+    elem[key] = 3
+    assert not res.check_minimal()
+
+
+def test_check_complex_finds_a_planted_non_unit_term():
+    """A non-unit term x_gamma e_0 planted in a stage-2 differential adds
+    x_gamma d_1(e_0) != 0 to d_1 d_2: `check_complex` fails while
+    `check_minimal` still holds."""
+    res = MinimalResolution(build_algebra((), 5, build("B2")), 4)
+    assert res.check_complex()
+    elem = res.stages[2].differential[0]
+    key = 1  # x^m e_0 with m = (0, ..., 0, 1), a single root vector
+    assert key not in elem
+    elem[key] = 2
+    assert not res.check_complex()
+    assert res.check_minimal()
+
+
 def test_find_class_by_weight():
     rs = build("B2")
     g = enumerate_group(rs)
@@ -196,11 +222,15 @@ def _two_pass_stages(alg, max_degree):
     kernel of the new differential comes from `_d_block` on every weight
     block of the new stage.  Elements are int-keyed, as `_d_block` reads
     and returns them; x_gamma k is formed by the tuple view `mult_gen`,
-    and the weight blocks are listed here, not by `_block`."""
+    and the monomial weights and weight blocks are listed here, not by
+    `by_weight` and `_block`."""
     res = MinimalResolution.__new__(MinimalResolution)
     res.alg, res.max_degree = alg, max_degree
-    res.stages = [ResolutionStage(alg, 0, [(0,) * alg.rs.rank], [{}])]
-    dim, weights = alg.dimension, alg.weights
+    res.stages = [ResolutionStage(0, [(0,) * alg.rs.rank], [{}])]
+    dim = alg.dimension
+    # the weight of each monomial by index, sum a_gamma * gamma
+    weights = [tuple(sum(a * f[t] for a, f in zip(m, alg._root_fund))
+                     for t in range(alg.rs.rank)) for m in alg.monomials]
     kernel = [{i: 1} for i in range(1, dim)]
     for degree in range(1, max_degree + 1):
         prev = res.stages[-1].gen_weights
@@ -227,7 +257,7 @@ def _two_pass_stages(alg, max_degree):
                 if span.add(elem) is None:
                     gen_weights.append(wt)
                     diff.append(elem)
-        res.stages.append(ResolutionStage(alg, degree, gen_weights, diff))
+        res.stages.append(ResolutionStage(degree, gen_weights, diff))
         blocks = {}
         for s, gw in enumerate(gen_weights):
             for i, mw in enumerate(weights):
@@ -317,14 +347,13 @@ def test_memoised_image_matches_mult_mono(resolutions, case, data):
     a = tuple(data.draw(st.lists(st.integers(0, alg.p - 1),
                                  min_size=alg.n, max_size=alg.n)))
     expected: dict = {}
-    for (t, m), c in diff[g].items():
+    for (t, m), c in _decode(alg, diff[g]).items():
         for m3, c3 in alg.mult_mono(a, m).items():
             expected[(t, m3)] = (expected.get((t, m3), 0) + c * c3) % alg.p
     expected = {k: v for k, v in expected.items() if v}
     key = g * alg.dimension + alg.mono_index(a)
-    coded = res.stages[degree].coded
-    assert _decode(alg, res._image(coded, {}, key)) == expected
-    assert _decode(alg, res._image(coded, memos[degree], key)) == expected
+    assert _decode(alg, res._image(diff, {}, key)) == expected
+    assert _decode(alg, res._image(diff, memos[degree], key)) == expected
 
 
 def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
