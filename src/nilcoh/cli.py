@@ -144,8 +144,7 @@ FLAG_SPECS = {
     "max-degree": dict(type=int, default=4, help="top cohomological degree"),
     "unsafe": dict(action="store_true",
                    help="compute formal models below the stated bounds"),
-    "which": dict(choices=("frobenius", "parabolic", "t1"),
-                  default="frobenius"),
+    "which": dict(choices=("frobenius", "parabolic"), default="frobenius"),
     "field": dict(choices=("Q", "Fp"), default="Fp"),
     "check-square": dict(action="store_true", help="certify the square of"
                          " the distinguished H^2 class"),
@@ -163,8 +162,10 @@ COMMANDS = {
     "linkage": ("weak linkage datum", ("p", "l", "lambda")),
     "kostant": ("nilradical cohomology decomposition",
                 ("p", "l", "J", "lambda")),
-    "character": ("Frobenius-kernel / parabolic / torus characters",
+    "character": ("Frobenius-kernel / parabolic characters",
                   ("p", "l", "J", "lambda", "max-degree", "which")),
+    "t1-invariants": ("T_1-invariants of H^j(u, L(lambda))",
+                      ("p", "l", "lambda")),
     "ring-table": ("exterior multiplication table", ("p", "l", "J", "unsafe")),
     "quantum": ("quantum exterior algebra checks", ("l",)),
     "oracle-koszul": ("brute-force cohomology oracle", ("p", "J", "field")),
@@ -303,23 +304,23 @@ def _run(args) -> dict:
         out["poincare"] = format_poincare(out["dims"])
         return out
 
-    if cmd == "character":
+    if cmd in ("character", "t1-invariants"):
         mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank)
+        if cmd == "t1-invariants":
+            gc = t1_invariants(lam, modulus, rs, group)
+            return {"lambda": list(lam), "degrees": gc.to_json(),
+                    "dims": gc.dims()}
         if args.which == "frobenius":
             bg = frobenius_kernel_character(lam, J, rs, group, mode, modulus,
                                             args.max_degree)
             out = bg.to_json()
             out["collapsed"] = bg.collapse().to_json()
             return out
-        if args.which == "parabolic":
-            gc = parabolic_character(lam, J, rs, group, mode, modulus,
-                                     args.max_degree)
-            return {"lambda": list(lam), "J": list(J),
-                    "degrees": gc.to_json(), "dims": gc.dims()}
-        gc = t1_invariants(lam, modulus, rs, group)
-        return {"lambda": list(lam), "degrees": gc.to_json(),
-                "dims": gc.dims()}
+        gc = parabolic_character(lam, J, rs, group, mode, modulus,
+                                 args.max_degree)
+        return {"lambda": list(lam), "J": list(J),
+                "degrees": gc.to_json(), "dims": gc.dims()}
 
     if cmd == "ring-table":
         mode, modulus = _mode_modulus(args, rs)

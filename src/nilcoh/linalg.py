@@ -29,10 +29,10 @@ class Span:
     can never be handed back.  Which vectors are kept, and `size`, stay
     exactly as they would have been.
 
-    Each kept vector becomes a row whose lead key has coefficient 1 and
-    occurs in no other row, stored with the combination of kept vectors
-    it equals (empty once combinations are dropped), so one pass over a
-    vector's own keys reduces it.
+    Each kept vector becomes a row whose lead, its largest key, has
+    coefficient 1 and occurs in no other row, stored with the combination
+    of kept vectors it equals (empty once combinations are dropped), so
+    one pass over a vector's own keys reduces it.
     """
 
     def __init__(self, p: int | None = None):
@@ -84,13 +84,13 @@ class Span:
         res, comb = self._reduce(vec)
         if not res:
             return comb if self._track else True
-        lead, c = next(iter(res.items()))
+        lead = max(res)
         p, track = self.p, self._track
         if p is None:
-            inv = Fraction(1) / c
+            inv = Fraction(1) / res[lead]
             row = {k: x * inv for k, x in res.items()}
         else:
-            inv = pow(c, -1, p)
+            inv = pow(res[lead], -1, p)
             row = {k: x * inv % p for k, x in res.items()}
         if track:  # row = inv * (vec - sum comb_i kept_i)
             reduced, comb = comb, {self.size: inv}

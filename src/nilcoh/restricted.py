@@ -52,12 +52,12 @@ order; so the key of x^(m - e_h) e_s is the key less p^(n-1-h)
 (s, m) tuples, and no tuple is hashed in the inner loop.  x_g acts through
 `gen_index`, the one table of products x_g x^m, straightened on indices
 when first read; `mult_gen` decodes it to monomials for `mult_mono`.  The
-algebra's one weight table lists its monomials by weight (`by_weight`),
-and the keys of a free module at one weight come from one helper
-(`_block`).  Each finished stage is one `ResolutionStage`, which holds its
-differential in the int-keyed form only: `check_minimal` reads a unit
-coefficient as a key divisible by p^n, and `_apply` decodes the keys as it
-multiplies through `mult_mono`.
+algebra's one weight table lists its monomials by weight (`by_weight`):
+`_block` lists the keys of a free module at one weight, and `_kernel_dim`
+counts them without listing them.  Each finished stage is one
+`ResolutionStage`, which holds its differential in the int-keyed form
+only: `check_minimal` reads a unit coefficient as a key divisible by p^n,
+and `_apply` decodes the keys as it multiplies through `mult_mono`.
 """
 
 from __future__ import annotations
@@ -356,10 +356,11 @@ class MinimalResolution:
         """dim K_n at weight wt, K_n = ker d_n, from stages 0 to n alone:
         0 -> K_n -> F_n -> K_(n-1) -> 0 is exact for each n, with K_(-1) =
         k at weight 0, so dim K_n = dim F_n - dim K_(n-1), weight by
-        weight."""
-        count = int(not any(wt))
+        weight, and dim F_k at wt is counted from `gens` and `by_weight`."""
+        count, by_weight = int(not any(wt)), self.alg.by_weight
         for st in self.stages[:n + 1]:
-            count = len(self._block(st.gens, wt)) - count
+            count = sum(len(s) * len(by_weight.get(tuple(map(sub, wt, w)), ()))
+                        for w, s in st.gens.items()) - count
         return count
 
     def _stage(self, degree: int):
@@ -497,8 +498,6 @@ def ext_dims(alg: RestrictedAlgebra, max_degree: int = 4):
     """(GradedCharacter, MinimalResolution) through the given degree."""
     if max_degree < 0:
         raise PreconditionError(f"max_degree must be >= 0, got {max_degree}")
-    if max_degree > 6:
-        raise BudgetError("max_degree above the supported default of 6")
     res = MinimalResolution(alg, max_degree)
     if not res.check_minimal():
         raise RuntimeError("the resolution is not minimal")

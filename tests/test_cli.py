@@ -46,6 +46,13 @@ def test_ext_with_square_check(capsys):
     assert data["example_product"]["nonzero"] is True
 
 
+def test_ext_above_degree_6(capsys):
+    """`ext` used to refuse any --max-degree above 6."""
+    data = run_json(capsys, "ext", "--type", "B2", "--p", "5",
+                    "--max-degree", "8")
+    assert data["dims"] == [1, 2, 6, 10, 19, 28, 44, 60, 85]
+
+
 def test_exit_code_2_on_gate_failure(capsys):
     code, out, err = run_cli(capsys, "ring-table", "--type", "A2", "--l", "9")
     assert code == 2
@@ -135,7 +142,7 @@ def test_exit_code_2_on_composite_modulus(capsys):
     # every command that reads --p, so a new one cannot skip the gate
     reading_p = [name for name, (_, flags) in COMMANDS.items()
                  if flags and "p" in flags]
-    assert len(reading_p) == 11
+    assert len(reading_p) == 12
     for name in reading_p:
         argv = (*name.split(), "--type", "A2", "--p", "9")
         if "lambda" in COMMANDS[name][1]:
@@ -228,15 +235,16 @@ def test_exit_code_2_on_negative_max_degree(capsys):
                                  "--max-degree", "-1"),
                         "max_degree must be >= 0, got -1")
     for which, modulus in (("frobenius", ("--l", "7")),
-                           ("parabolic", ("--p", "7")), ("t1", ("--p", "7"))):
+                           ("parabolic", ("--p", "7"))):
         _assert_input_error(capsys, ("character", "--type", "A2", "--which",
                                      which, *modulus, "--max-degree", "-2"),
                             "max_degree must be >= 0, got -2")
 
 
 @pytest.mark.parametrize("command", (
-    "alcove", "linkage", "kostant", "character", "ring-table",
-    "verify sum-dot", "verify levi-weights", "verify dot-collisions"))
+    "alcove", "linkage", "kostant", "character", "t1-invariants",
+    "ring-table", "verify sum-dot", "verify levi-weights",
+    "verify dot-collisions"))
 def test_exit_code_2_on_p_with_l(capsys, command):
     """--p asks for the modular mode and --l for the quantum one: a
     command that declares both refuses them together rather than pick

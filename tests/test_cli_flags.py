@@ -2,9 +2,10 @@
 
 READS lists, independently of `nilcoh.cli.COMMANDS`, the flags each command
 reads (each `verify` search counted as its own command); every command
-also takes --type and --format.  IGNORED lists the 46 flags that the
-commands used to accept without reading them: each must now exit 2 with
-the flag named on stderr and nothing on stdout.  The parser drift guard
+also takes --type and --format.  IGNORED lists the 49 flags that the
+commands used to accept without reading them (for `t1-invariants`, those
+`character --which t1` took): each must now exit 2 with the flag named on
+stderr and nothing on stdout.  The parser drift guard
 parses every benchmark job and every README CLI example, so that a flag
 removed by mistake fails here rather than in the benchmark.
 """
@@ -28,6 +29,7 @@ READS = {
     "kostant": ("--p", "--l", "--J", "--lambda"),
     "character": ("--p", "--l", "--J", "--lambda", "--max-degree",
                   "--which"),
+    "t1-invariants": ("--p", "--l", "--lambda"),
     "ring-table": ("--p", "--l", "--J", "--unsafe"),
     "quantum": ("--l",),
     "oracle-koszul": ("--p", "--J", "--field"),
@@ -45,6 +47,7 @@ IGNORED = {
     "linkage": ("--J", "--max-degree", "--unsafe"),
     "kostant": ("--max-degree", "--unsafe"),
     "character": ("--unsafe",),
+    "t1-invariants": ("--J", "--max-degree", "--which"),
     "ring-table": ("--max-degree",),
     "quantum": ("--p", "--J", "--max-degree", "--unsafe"),
     "oracle-koszul": ("--l", "--max-degree", "--unsafe"),
@@ -66,7 +69,7 @@ VALUES = {
     "--lambda": ("0,1", "0,1", None),
     "--max-degree": ("3", 3, 4),
     "--unsafe": (None, True, False),
-    "--which": ("t1", "t1", "frobenius"),
+    "--which": ("parabolic", "parabolic", "frobenius"),
     "--field": ("Q", "Q", "Fp"),
     "--check-square": (None, True, False),
     "--domain": ("X", "X", "ZPhi"),
@@ -90,10 +93,10 @@ def _dest(flag):
 
 
 def test_pair_counts():
-    # --type and --format on all 14 commands, plus the flags read
+    # --type and --format on all 15 commands, plus the flags read
     read = 2 * len(READS) + sum(len(flags) for flags in READS.values())
     ignored = sum(len(flags) for flags in IGNORED.values())
-    assert (read, ignored) == (67, 46)
+    assert (read, ignored) == (72, 49)
     for command, flags in IGNORED.items():
         assert not set(flags) & set(READS[command]), command
 

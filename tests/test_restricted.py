@@ -316,6 +316,25 @@ def test_a3_p5_degree_4_matches_prediction():
     assert gc == fk.collapse()
 
 
+@pytest.mark.parametrize("label,p,degree,dims", (
+    ("G2", 7, 3, [1, 2, 8, 14]),
+    ("B2", 5, 8, [1, 2, 6, 10, 19, 28, 44, 60, 85]),
+    ("A2", 7, 10, [1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51])),
+    ids=("G2-p7-d3", "B2-p5-d8", "A2-p7-d10"))
+def test_ext_matches_prediction_beyond_the_old_reach(monkeypatch, label, p,
+                                                     degree, dims):
+    """G2 p=7 (7^6 is over the default budget) and degrees above 6, which
+    `ext_dims` used to refuse, against the Frobenius-kernel prediction;
+    each has p > h."""
+    monkeypatch.setattr(restricted, "DEFAULT_DIM_BUDGET", 7 ** 6)
+    rs = build(label)
+    gc, res = ext_dims(build_algebra((), p, rs), degree)
+    assert gc.dims() == dims
+    fk = frobenius_kernel_character((0,) * rs.rank, (), rs,
+                                    enumerate_group(rs), "modular", p, degree)
+    assert res.ext_character() == fk.collapse()
+
+
 # -- images by left multiplication ---------------------------------------
 
 

@@ -3,12 +3,15 @@
 Runs each case in its own `python` subprocess against the `src/` of the
 checkout this file lies in, and prints one JSON line per case: its wall
 time in seconds (the algebra and, where a degree is given, `ext_dims`
-with both resolution checks) and its peak memory in MB, read as VmHWM
-from /proc/self/status.  `ru_maxrss` would not do: a child's counts the
-RSS of the process that forked it.  Only `DEFAULT_DIM_BUDGET` is lifted,
-since every case but A3 p=5 is over it.
+with both resolution checks), its peak memory in MB, read as VmHWM
+from /proc/self/status, and per stage a short sha256 of its
+`gen_weights` and `differential`, so that the stages two trees build can
+be compared from the output alone.  `ru_maxrss` would not do: a child's
+counts the RSS of the process that forked it.  Only `DEFAULT_DIM_BUDGET`
+is lifted, since every case but A3 p=5 is over it.
 
-    python tools/ladder.py
+    python tools/ladder.py              # the fixed ladder
+    python tools/ladder.py G2 7 4       # one case: type, p, degree
 
 Uses the standard library only; Linux only (VmHWM).  It is not part of
 the test suite.
@@ -27,27 +30,38 @@ CASES = (("G2", 11, (), None), ("A3", 5, (), 5), ("A3", 7, (), 4),
          ("G2", 7, (), 3))
 
 CHILD = """
-import json, sys, time
+import hashlib, json, sys, time
 from nilcoh import restricted
 from nilcoh.rootsystem import build
 label, p, J, degree = json.loads(sys.argv[1])
 restricted.DEFAULT_DIM_BUDGET = float("inf")
 start = time.perf_counter()
 alg = restricted.RestrictedAlgebra(J, p, build(label))
-dims = None if degree is None else restricted.ext_dims(alg, degree)[0].dims()
+dims = stages = None
+if degree is not None:
+    gc, res = restricted.ext_dims(alg, degree)
+    dims = gc.dims()
 wall = time.perf_counter() - start
 with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status
                if line.startswith("VmHWM:"))
+if degree is not None:
+    stages = [hashlib.sha256(repr((st.gen_weights, [sorted(d.items())
+              for d in st.differential])).encode()).hexdigest()[:12]
+              for st in res.stages]
 print(json.dumps({"type": label, "p": p, "J": J, "degree": degree,
                   "wall_s": round(wall, 3), "peak_mb": round(hwm / 1024, 1),
-                  "dims": dims}))
+                  "dims": dims, "stages": stages}))
 """
 
 
-def main():
+def main(argv):
+    cases = CASES
+    if argv:
+        label, p, degree = argv
+        cases = ((label, int(p), (), int(degree)),)
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for case in CASES:
+    for case in cases:
         proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(case)],
                               env=env, capture_output=True, text=True)
         if proc.returncode:
@@ -56,4 +70,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
