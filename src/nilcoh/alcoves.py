@@ -56,10 +56,6 @@ class LinkageDatum(namedtuple("LinkageDatum", "w sigma modulus")):
     """lambda = w.0 + modulus * sigma, with sigma zero or minuscule."""
     __slots__ = ()
 
-    def reconstruct(self, rs: RootSystem) -> tuple:
-        base = self.w.dot((0,) * rs.rank, rs)
-        return tuple(b + self.modulus * s for b, s in zip(base, self.sigma))
-
 
 class AdmissibilityProfile(namedtuple(
         "AdmissibilityProfile", "modulus odd gt_h ge_hminus1 gt_2hminus2"

@@ -138,19 +138,19 @@ def _j_dominant(mu: tuple, J) -> tuple:
     return J
 
 
-def _dominant_rep_ordinary(nu: tuple, J, rs: RootSystem) -> tuple:
-    """W_J-dominant representative under the ordinary (undotted) action."""
-    nu = list(nu)
-    J = tuple(J)
+def _dominant_rep_ordinary(nu: tuple, J, rs: RootSystem):
+    """(W_J-dominant representative under the ordinary (undotted) action,
+    number of simple reflections taken).  Each reflection lowers the length
+    of the element still to apply by one, so the loop ends."""
+    steps = 0
     while True:
         for i in J:
             if nu[i] < 0:
-                c = nu[i]
-                for k in range(rs.rank):
-                    nu[k] -= c * rs.cartan[k][i]
+                nu = rs.reflect(nu, i)
+                steps += 1
                 break
         else:
-            return tuple(nu)
+            return nu, steps
 
 
 def levi_simple_character(mu: tuple, J, rs: RootSystem) -> FormalCharacter:
@@ -182,7 +182,7 @@ def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
     depth = {mu: (0,) * rs.rank}
 
     def mult_of(nu):
-        rep = _dominant_rep_ordinary(nu, J, rs)
+        rep, _ = _dominant_rep_ordinary(nu, J, rs)
         return dominant_mults.get(rep, 0)
 
     # BFS levels over mu - N.Phi_J, pruned by the norm inequality
@@ -236,11 +236,7 @@ def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
             nxt = []
             for nu in frontier:
                 for i in J:
-                    c = nu[i]
-                    if c == 0:
-                        continue
-                    img = tuple(a - c * rs.cartan[k][i] for k, a in enumerate(nu))
-                    if img not in orbit:
+                    if nu[i] and (img := rs.reflect(nu, i)) not in orbit:
                         orbit.add(img)
                         nxt.append(img)
             frontier = nxt
@@ -286,26 +282,11 @@ def euler_induction(chi: FormalCharacter, J, rs: RootSystem) -> FormalCharacter:
 
 def _dominant_dot_correction(mu: tuple, J, rs: RootSystem):
     """(sign, nu) with nu = u.mu J-dominant, or None if dot-singular."""
-    nu = list(mu)
-    sign = 1
-    guard = 0
-    limit = 2 * len(rs.phi_j_plus(J)) + 2
-    while True:
-        for i in J:
-            v = nu[i] + 1  # (nu + rho, alpha_i^vee)
-            if v == 0:
-                return None
-            if v < 0:
-                # s_i . nu = nu - v * alpha_i
-                for k in range(rs.rank):
-                    nu[k] -= v * rs.cartan[k][i]
-                sign = -sign
-                break
-        else:
-            return sign, tuple(nu)
-        guard += 1
-        if guard > limit * 4:
-            raise RuntimeError("dominant dot-correction failed to terminate")
+    shifted, steps = _dominant_rep_ordinary(
+        tuple(m + r for m, r in zip(mu, rs.rho)), J, rs)
+    if any(shifted[i] == 0 for i in J):
+        return None
+    return (-1) ** steps, tuple(c - r for c, r in zip(shifted, rs.rho))
 
 
 def frobenius_twist(chi: FormalCharacter, m: int) -> FormalCharacter:

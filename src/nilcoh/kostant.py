@@ -30,12 +30,6 @@ class KostantDecomposition:
         self.modulus = modulus
         self.entries = entries  # (WeylElement, degree, highest weight)
 
-    def degrees(self) -> dict:
-        out: dict[int, list] = {}
-        for w, deg, hw in self.entries:
-            out.setdefault(deg, []).append((w, hw))
-        return out
-
     def character(self) -> GradedCharacter:
         """Expansion of each degree into Levi simple characters."""
         gc = GradedCharacter()

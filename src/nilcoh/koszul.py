@@ -2,10 +2,11 @@
 
 Builds integral structure constants for the nilpotent radical from the
 positive-root strings (extraspecial-pair signs fixed positive, the rest
-solved against the Jacobi identity), assembles the Chevalley-Eilenberg
-cochain complex on the exterior algebra of the dual, and computes weight-
-graded cohomology by exact rank computations over F_p or Q.  Independent
-of the coset-representative decomposition, so it can confirm it.
+forced one at a time by the Jacobi identity in a forward solve, with no
+search), assembles the Chevalley-Eilenberg cochain complex on the exterior
+algebra of the dual, and computes weight-graded cohomology by exact rank
+computations over F_p or Q.  Independent of the coset-representative
+decomposition, so it can confirm it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ def chevalley_constants(rs: RootSystem) -> dict:
     """N[(i, j)] for positive-root indices i < j with gamma_i + gamma_j a
     positive root: integral constants [x_i, x_j] = N * x_{i+j} satisfying
     the Jacobi identity, with |N| = q + 1 from the root string and the
-    extraspecial pairs normalized to +."""
+    extraspecial pairs normalized to +.
+
+    The other signs come from a forward solve with no search: passes over
+    the Jacobi triples set each N that is the one unset value of a triple's
+    identity, until every N is set; then every triple is checked.  A pass
+    that sets nothing, a forced value that is not +-|N|, or a failed check
+    raises RuntimeError."""
     return dict(_constants_cached(rs.label))
 
 
@@ -56,96 +63,69 @@ def _constants_cached(label: str):
             cur = tuple(c - b for c, b in zip(cur, beta))
         return q
 
-    pairs = []  # (i, j) with i < j in convex order and gamma_i+gamma_j in Phi+
+    # |N| per (i, j) with i < j in convex order and gamma_i+gamma_j in Phi+
     magnitude = {}
+    sum_of = {}  # (x, y) -> index of gamma_x + gamma_y, in both orders
     for i in range(len(pos)):
         for j in range(i + 1, len(pos)):
             s = tuple(a + b for a, b in zip(pos[i], pos[j]))
             if s in index:
-                pairs.append((i, j))
                 magnitude[(i, j)] = string_len(pos[i], pos[j]) + 1
+                sum_of[i, j] = sum_of[j, i] = index[s]
 
     # extraspecial pairs: for each decomposable gamma, the pair with the
     # smallest first index; its sign is the normalization choice (+).
     extraspecial = {}
-    for (i, j) in pairs:
-        s = tuple(a + b for a, b in zip(pos[i], pos[j]))
-        k = index[s]
+    for (i, j) in magnitude:
+        k = sum_of[i, j]
         if k not in extraspecial or i < extraspecial[k][0]:
             extraspecial[k] = (i, j)
-    fixed = set(extraspecial.values())
+    value = {pq: magnitude[pq] for pq in extraspecial.values()}
 
-    free_pairs = [pq for pq in pairs if pq not in fixed]
-    sign = {pq: 1 for pq in fixed}
+    def factor(x, y):
+        """(sign, (i, j)) with N_xy = sign * N_ij and i < j."""
+        return (1, (x, y)) if x < y else (-1, (y, x))
 
-    def n_of(a, b):
-        """N for ordered indices a != b with gamma_a + gamma_b in Phi+."""
-        if a < b:
-            pq = (a, b)
-            if pq not in magnitude:
-                return 0
-            if pq not in sign:
-                return None  # not yet assigned
-            return sign[pq] * magnitude[pq]
-        val = n_of(b, a)
-        return None if val is None else -val
+    # Jacobi triples a < b < c with a nonzero cyclic term N_xy N_(x+y)z (so
+    # a + b + c is a positive root; the other triples hold trivially), each
+    # as its nonzero terms: (sign, pair, pair') for sign * N[pair] * N[pair']
+    triples = sorted({tuple(sorted((x, y, z))) for (x, y), s in sum_of.items()
+                      for z in range(len(pos)) if (s, z) in sum_of})
+    jacobi = []
+    for (a, b, c) in triples:
+        terms = []
+        for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+            if (x, y) in sum_of:
+                (s1, p), (s2, q) = factor(x, y), factor(sum_of[x, y], z)
+                terms.append((s1 * s2, p, q))
+        jacobi.append(terms)
 
-    def jacobi_ok():
-        """Check all currently fully-assigned Jacobi triples; None = pending."""
-        complete = True
-        for (a, b, c) in triples:
-            terms = []
-            for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                s = tuple(p + q for p, q in zip(pos[x], pos[y]))
-                if s not in index:
-                    terms.append(0)
-                    continue
-                n1 = n_of(x, y)
-                if n1 is None:
-                    complete = False
-                    terms = None
-                    break
-                n2 = n_of(index[s], z)
-                if n2 is None:
-                    complete = False
-                    terms = None
-                    break
-                terms.append(n1 * n2)
-            if terms is None:
+    def total(terms):
+        return sum(sgn * value[p] * value[q] for sgn, p, q in terms)
+
+    # forward solve: a triple with one term holding an unset pair forces it
+    while len(value) < len(magnitude):
+        before = len(value)
+        for terms in jacobi:
+            open_terms = [t for t in terms
+                          if t[1] not in value or t[2] not in value]
+            if len(open_terms) != 1:
                 continue
-            if sum(terms) != 0:
-                return False
-        return True if complete else None
-
-    # Jacobi triples with total sum a positive root (others vanish trivially
-    # inside the nilpotent algebra)
-    triples = []
-    n = len(pos)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                tot = tuple(p + q + r for p, q, r in zip(pos[a], pos[b], pos[c]))
-                if tot in index:
-                    triples.append((a, b, c))
-
-    def backtrack(k):
-        state = jacobi_ok()
-        if state is False:
-            return False
-        if k == len(free_pairs):
-            return state is True
-        pq = free_pairs[k]
-        for s in (1, -1):
-            sign[pq] = s
-            if backtrack(k + 1):
-                return True
-            del sign[pq]
-        return False
-
-    if not backtrack(0):
+            sgn, p, q = open_terms[0]
+            if p not in value and q not in value:
+                continue
+            unset, known = (p, q) if q in value else (q, p)
+            rest = total([t for t in terms if t is not open_terms[0]])
+            val, rem = divmod(-rest, sgn * value[known])
+            if rem or abs(val) != magnitude[unset]:
+                raise RuntimeError(f"no consistent sign assignment for {label}")
+            value[unset] = val
+        if len(value) == before:
+            raise RuntimeError(f"the Jacobi identity leaves signs of {label}"
+                               " unforced")
+    if any(map(total, jacobi)):
         raise RuntimeError(f"no consistent sign assignment for {label}")
-    out = {pq: sign[pq] * magnitude[pq] for pq in pairs}
-    return tuple(sorted(out.items()))
+    return tuple(sorted(value.items()))
 
 
 def nilradical_constants(rs: RootSystem, roots) -> dict:

@@ -18,7 +18,7 @@ l = 1 its scalar is the classical sign.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import product
 
 from .alcoves import PreconditionError, RegimeError, require_regime
 from .rootsystem import RootSystem
@@ -374,16 +374,25 @@ def check_ring_laws(ring: CohomologyRing) -> dict:
     ident = ring.group.identity
     ok_identity = all(table[ident, a] == (one, a) == table[a, ident]
                       for a in reps)
-    if ring.ell == 1:
-        # e_a e_b = (-1)^{l(a) l(b)} e_1 * (e_b e_a), read on the nonzero
-        # products only: a pair with one order zero and the other not fails
-        # from its nonzero side
-        ok_comm = all(
-            ab == times((CycScalar(-1 if a.length * b.length % 2
-                                   else 1, 0, 1), ident), table[b, a])
-            for (a, b), ab in nonzero)
-    else:
-        ok_comm = defining_relations_hold(ring.rs, ring.ell)
+    # graded commutativity, one rule for both models: e_a e_b = c e_w and
+    # e_b e_a = c' e_w with c c' = (-1)^{l(a) l(b)} zeta^{(gamma_a, gamma_b)},
+    # gamma_v the sum of Phi(v).  Read on the nonzero products only: a pair
+    # with one order zero and the other not fails from its nonzero side
+    rs = ring.rs
+    gamma = {}
+    for w in reps:
+        g = (0,) * rs.rank
+        for k in mask_bits(ring.group.inversion_mask(w)):
+            g = tuple(map(sum, zip(g, rs.positive_roots[k])))
+        gamma[w] = g
+
+    def commutes(a, b, ab):
+        ba = table[b, a]
+        return ba is not None and ba[1] == ab[1] and ab[0] * ba[0] == \
+            CycScalar(-1 if a.length * b.length % 2 else 1,
+                      rs.inner_roots(gamma[a], gamma[b]), ring.ell)
+
+    ok_comm = all(commutes(a, b, ab) for (a, b), ab in nonzero)
     return {"associative": ok_assoc, "odd_squares_zero": ok_square,
             "identity": ok_identity, "graded_commutative": ok_comm}
 
@@ -424,16 +433,3 @@ def straightening_confluent(rs: RootSystem, ell: int) -> bool:
         if not (left == right == flat):
             return False
     return True
-
-
-def square_free_basis(rs: RootSystem, ell: int):
-    """All straightened square-free monomials; exactly 2^N of them."""
-    n = len(rs.positive_roots)
-    out = set()
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            scal, srt = quantum_straighten(combo, rs, ell)
-            assert scal == CycScalar.one(ell) and srt == combo
-            out.add(srt)
-    assert len(out) == 2 ** n
-    return sorted(out, key=lambda s: (len(s), s))

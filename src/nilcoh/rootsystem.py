@@ -363,8 +363,3 @@ def build(cartan_type: str, rank: int | None = None) -> RootSystem:
     else:
         letter = cartan_type
     return RootSystem(letter, int(rank))
-
-
-def expected_num_positive(letter: str, n: int) -> int:
-    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
-            "E": {6: 36, 7: 63, 8: 120}.get(n, 0), "F": 24, "G": 6}[letter]

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import time
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import combinations
 
 from . import __version__ as TOOL_VERSION
 from .alcoves import (PreconditionError, RegimeError, admissibility,
-                      in_alcove, require_prime, require_regime)
+                      require_prime, require_regime)
 from .characters import levi_simple_character
 from .kostant import frobenius_kernel_character, kostant_decomposition
 from .koszul import cochain_cup, oracle_cohomology
@@ -152,13 +152,6 @@ def search_dot_collisions(rs: RootSystem, group: WeylGroup, lam: tuple,
     cert = _wrap("dot-collisions", rs, modulus, sigma_domain, violations, t0)
     cert["lambda"] = list(lam)
     return violations, cert
-
-
-def alcove_interior_weights(rs: RootSystem, p: int):
-    """All dominant weights in the interior bottom p-alcove."""
-    # dominant coordinates are bounded by p: already (lam_i + 1) <= (lam+rho, beta^vee)
-    return [coords for coords in product(range(p), repeat=rs.rank)
-            if in_alcove(coords, p, rs, closed=False)]
 
 
 def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:

@@ -69,9 +69,6 @@ class WeylElement:
         img = self.act(shifted)
         return tuple(a - r for a, r in zip(img, rs.rho))
 
-    def act_root(self, beta: tuple, rs: RootSystem) -> tuple:
-        return rs.root_of_fund[self.act(rs.root_to_fund(beta))]
-
     def act_rho(self) -> tuple:
         """w rho in fundamental coordinates (rho = (1, ..., 1); not the dot action)."""
         return tuple(map(sum, self.matrix))

@@ -21,7 +21,8 @@ def test_weak_linkage_zero():
     g = enumerate_group(rs)
     d = weak_linkage((0, 0), 5, rs, g)
     assert d is not None and d.w == g.identity and d.sigma == (0, 0)
-    assert d.reconstruct(rs) == (0, 0)
+    base = d.w.dot((0, 0), rs)  # lambda = w.0 + 5 * sigma
+    assert tuple(b + d.modulus * s for b, s in zip(base, d.sigma)) == (0, 0)
 
 
 def test_weak_linkage_b2_witness():
@@ -31,7 +32,8 @@ def test_weak_linkage_b2_witness():
     assert d is not None
     assert d.sigma == (0, 1)  # the minuscule weight
     assert d.w.length == 3
-    assert d.reconstruct(rs) == (0, 1)
+    base = d.w.dot((0, 0), rs)  # lambda = w.0 + 5 * sigma
+    assert tuple(b + d.modulus * s for b, s in zip(base, d.sigma)) == (0, 1)
 
 
 def test_weak_linkage_none():

@@ -114,6 +114,13 @@ def test_quantum_subcommand(capsys):
     assert data["square_free_basis_count"] == 8
 
 
+def test_quantum_f4_counts_without_listing(capsys):
+    """2^24 square-free monomials: counted, not straightened one by one."""
+    data = run_json(capsys, "quantum", "--type", "F4", "--l", "13")
+    assert data["defining_relations"] and data["confluent"]
+    assert data["square_free_basis_count"] == 16777216
+
+
 def test_ring_table_csv_and_tex(capsys):
     code, out, _ = run_cli(capsys, "ring-table", "--type", "A2", "--p", "7",
                            "--format", "csv")

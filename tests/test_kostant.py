@@ -19,8 +19,7 @@ def test_a2_full_decomposition():
     rs, g = _setup("A2")
     kd = kostant_decomposition((0, 0), (), rs, g)
     assert kd.poincare() == [1, 2, 2, 1]
-    by_deg = kd.degrees()
-    weights = sorted(hw for _, hw in by_deg[1])
+    weights = sorted(hw for _, deg, hw in kd.entries if deg == 1)
     # -alpha1 = (-2, 1), -alpha2 = (1, -2)
     assert weights == [(-2, 1), (1, -2)]
 

@@ -9,7 +9,7 @@ from nilcoh.ring import (BasisClass, CohomologyRing, CycScalar,
                          check_ring_laws, defining_relations_hold,
                          mask_scalar, merge_sign, nil_product,
                          quantum_nil_product, quantum_straighten,
-                         square_free_basis, straightening_confluent)
+                         straightening_confluent)
 from nilcoh.rootsystem import build
 from nilcoh.verify import Violation
 from nilcoh.weyl import enumerate_group, mask_bits
@@ -154,9 +154,9 @@ def test_quantum_relations_confluence_basis():
         rs = build(label)
         for ell in (5, 7):
             assert defining_relations_hold(rs, ell)
+            # with confluence, the diamond lemma makes the 2^N sorted
+            # square-free monomials a basis
             assert straightening_confluent(rs, ell)
-            basis = square_free_basis(rs, ell)
-            assert len(basis) == 2 ** len(rs.positive_roots)
 
 
 def test_quantum_nil_product_specializes():
@@ -233,8 +233,9 @@ def test_mask_scalar_is_straightening_scalar(label, ell, data):
 
 def _reference_laws(ring):
     """The ring laws checked by brute force: associativity on all
-    |^JW|^3 triples of ring.exterior_table().  check_ring_laws must return
-    the same dict on every table, corrupted ones included."""
+    |^JW|^3 triples of ring.exterior_table(), graded commutativity on all
+    |^JW|^2 pairs.  check_ring_laws must return the same dict on every
+    table, corrupted ones included."""
     table = ring.exterior_table()
     reps = ring.reps
     one = CycScalar.one(ring.ell)
@@ -251,13 +252,19 @@ def _reference_laws(ring):
     ident = ring.group.identity
     ok_identity = all(table[ident, a] == (one, a) == table[a, ident]
                       for a in reps)
-    if ring.ell == 1:
-        ok_comm = all(
-            table[a, b] == times((CycScalar(-1 if a.length * b.length % 2
-                                            else 1, 0, 1), ident), table[b, a])
-            for a in reps for b in reps)
-    else:
-        ok_comm = defining_relations_hold(ring.rs, ring.ell)
+    rs = ring.rs
+    gamma = {w: tuple(sum(col) for col in zip(
+        (0,) * rs.rank, *ring.group.inversion_set(w))) for w in reps}
+
+    def commutes(a, b):
+        ab, ba = table[a, b], table[b, a]
+        if ab is None or ba is None:
+            return ab is ba
+        twist = CycScalar(-1 if a.length * b.length % 2 else 1,
+                          rs.inner_roots(gamma[a], gamma[b]), ring.ell)
+        return ab[1] == ba[1] and ab[0] * ba[0] == twist
+
+    ok_comm = all(commutes(a, b) for a in reps for b in reps)
     return {"associative": ok_assoc, "odd_squares_zero": ok_square,
             "identity": ok_identity, "graded_commutative": ok_comm}
 
@@ -358,6 +365,51 @@ def test_planted_fault_in_a_commuting_pair():
     assert laws == {"associative": True, "odd_squares_zero": True,
                     "identity": True, "graded_commutative": False}
     assert laws == _reference_laws(ring)
+
+
+def test_planted_exponent_fault_breaks_quantum_commutativity():
+    """A zeta-exponent shift on any one nonzero product of non-identity
+    classes of A2 breaks quantum graded commutativity; no other law reads
+    it."""
+    rs, g = _setup("A2")
+    ring = CohomologyRing(rs, g, (), "quantum", 5)
+    clean = dict(ring.exterior_table())
+    faults = [(a, b) for (a, b), ab in clean.items()
+              if ab is not None and a.length and b.length]
+    assert len(faults) == 4
+    for key in faults:
+        scal, w = clean[key]
+        ring._table = dict(clean)
+        ring._table[key] = (scal * CycScalar(1, 1, 5), w)
+        laws = check_ring_laws(ring)
+        assert laws == {"associative": True, "odd_squares_zero": True,
+                        "identity": True, "graded_commutative": False}
+        assert laws == _reference_laws(ring)
+
+
+def test_quantum_commutativity_reads_the_twist_exponent():
+    """On every real table (gamma_a, gamma_b) = 0 where e_a e_b != 0, so
+    plant a nonzero pair where it is not: graded commutativity holds
+    exactly when c c' carries the exponent (gamma_a, gamma_b)."""
+    rs, g = _setup("A2")
+    ring = CohomologyRing(rs, g, (), "quantum", 5)
+    clean = dict(ring.exterior_table())
+
+    def gamma(w):
+        return tuple(sum(col) for col in zip((0, 0), *g.inversion_set(w)))
+
+    expo, a, b = next((e, a, b) for (a, b), ab in clean.items()
+                      if a != b and ab is None
+                      and (e := rs.inner_roots(gamma(a), gamma(b))) % 5)
+    sign = -1 if a.length * b.length % 2 else 1
+    for twist, commutes in ((CycScalar(sign, expo, 5), True),
+                            (CycScalar(sign, 0, 5), False)):
+        ring._table = dict(clean)
+        ring._table[a, b] = (CycScalar.one(5), g.longest)
+        ring._table[b, a] = (twist, g.longest)
+        laws = check_ring_laws(ring)
+        assert laws["graded_commutative"] is commutes
+        assert laws == _reference_laws(ring)
 
 
 @lru_cache(maxsize=None)
