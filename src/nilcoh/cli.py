@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand prints a payload to stdout (JSON by default) whose header
-echoes the parsed configuration.  Each subcommand (each `verify` search on
+echoes every parsed flag.  Each subcommand (each `verify` search on
 its own) declares only the flags it reads, listed in COMMANDS; any
 other flag is a usage error.  Exit codes: 0 success, 2 usage error,
 precondition or gate failure (the violated condition or flag is named on
@@ -74,20 +74,13 @@ def _parse_lambda(args, rank: int, required: bool = False) -> tuple:
     return coords
 
 
-def _config_dict(args) -> dict:
-    keys = ("command", "type", "p", "l", "J", "lam", "max_degree", "format",
-            "unsafe", "domain", "check_square")
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
-
-
 def _emit(payload: dict, args):
-    fmt = getattr(args, "format", "json")
-    payload = {"config": _config_dict(args), **payload}
-    if fmt == "json":
+    payload = {"config": dict(vars(args)), **payload}
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(payload)
-    elif fmt == "tex":
+    elif args.format == "tex":
         _emit_tex(payload)
     else:
         _emit_text(payload)
@@ -258,13 +251,13 @@ def _run(args) -> dict:
     if cmd == "rootsys":
         return rs.to_json()
 
-    group = enumerate_group(rs)
     J = _parse_J(args.J) if hasattr(args, "J") else ()
     for i in J:
         if not 0 <= i < rs.rank:
             raise PreconditionError(f"J index {i} out of range for {rs.label}")
 
     if cmd == "weyl":
+        group = enumerate_group(rs)
         return {
             "order": len(group.elements),
             "length_polynomial": group.length_polynomial(),
@@ -285,7 +278,7 @@ def _run(args) -> dict:
     if cmd == "linkage":
         mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank, required=True)
-        datum = weak_linkage(lam, modulus, rs, group)
+        datum = weak_linkage(lam, modulus, rs, enumerate_group(rs))
         if datum is None:
             return {"lambda": list(lam), "linked": False}
         return {"lambda": list(lam), "linked": True,
@@ -298,7 +291,8 @@ def _run(args) -> dict:
         else:
             mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank)
-        kd = kostant_decomposition(lam, J, rs, group, mode, modulus)
+        kd = kostant_decomposition(lam, J, rs, enumerate_group(rs), mode,
+                                   modulus)
         out = kd.to_json()
         out["dims"] = kd.poincare()
         out["poincare"] = format_poincare(out["dims"])
@@ -307,6 +301,7 @@ def _run(args) -> dict:
     if cmd in ("character", "t1-invariants"):
         mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank)
+        group = enumerate_group(rs)
         if cmd == "t1-invariants":
             gc = t1_invariants(lam, modulus, rs, group)
             return {"lambda": list(lam), "degrees": gc.to_json(),
@@ -324,8 +319,9 @@ def _run(args) -> dict:
 
     if cmd == "ring-table":
         mode, modulus = _mode_modulus(args, rs)
-        ring = CohomologyRing(rs, group, J, "classical" if mode == "modular"
-                              else mode, modulus, unsafe=args.unsafe)
+        ring = CohomologyRing(rs, enumerate_group(rs), J, "classical"
+                              if mode == "modular" else mode, modulus,
+                              unsafe=args.unsafe)
         return {
             "metadata": ring.metadata(),
             "laws": check_ring_laws(ring),
@@ -369,6 +365,7 @@ def _run(args) -> dict:
         gc, res = ext_dims(alg, args.max_degree)
         example = None
         if args.check_square:
+            group = enumerate_group(rs)
             sb_sa = group.multiply(group.simple[1], group.simple[0])
             wt = sb_sa.dot((0,) * rs.rank, rs)
             found = len(find_class_by_weight(res, 2, wt))
@@ -382,6 +379,7 @@ def _run(args) -> dict:
 
     if cmd == "verify":
         mode, modulus = _mode_modulus(args, rs)
+        group = enumerate_group(rs)
         if args.search == "sum-dot":
             _, cert = search_sum_dot(rs, group, modulus)
             return cert

@@ -36,35 +36,27 @@ Each image is derived from one a step lower, as in Bruner's scheme: with h
 the first index where a_h > 0, x^a = x_h x^(a - e_h) in PBW order, so
 d(x^a g) = x_h d(x^(a - e_h) g).  `_image` builds the lower images of a
 chain on demand, into a memo that lives for one stage and is never
-evicted, so no image is built twice, and the build only multiplies by
-single generators (`gen_index`).  At a visited weight the span stops once
-it is all of K, so only the images it reads, and the lower ones they come
-from, are built.
+evicted, so no image is built twice.  At a visited weight the span stops
+once it is all of K, so only the images it reads, and the lower ones they
+come from, are built.
 
-`mult_mono` and `multiply` stay as the independent reference:
-`check_complex` reads d^2 = 0 through them, so the check and the build
-multiply by two different paths.
-
-A basis element x^m e_s of a free module A^r is one int, s p^n + index(m),
-where index(m) = sum m_k p^(n-1-k) is the position of m in lexicographic
-order; so the key of x^(m - e_h) e_s is the key less p^(n-1-h)
-(`RestrictedAlgebra._step`), block order and dict order are those of the
-(s, m) tuples, and no tuple is hashed in the inner loop.  x_g acts through
-`gen_index`, the one table of products x_g x^m, straightened on indices
-when first read; `mult_gen` decodes it to monomials for `mult_mono`.  The
-algebra's one weight table lists its monomials by weight (`by_weight`):
-`_block` lists the keys of a free module at one weight, and `_kernel_dim`
-counts them without listing them.  Each finished stage is one
-`ResolutionStage`, which holds its differential in the int-keyed form
-only: `check_minimal` reads a unit coefficient as a key divisible by p^n,
-and `_apply` decodes the keys as it multiplies through `mult_mono`.
+The resolution, its Yoneda products and its certificate read the algebra
+through these members alone: `rs`, `J`, `p`, `dimension`, `by_weight`
+(monomial indices by T-weight), `root_weights` (the nilradical roots in
+fundamental coordinates), `times(g, vec)` (x_g vec) and `lower(i)` (x^a =
+x_h x^(a - e_h) on indices); and, on the reference path, `monomials`,
+`mono_index` and `mult_mono`, through which `check_complex` reads
+d^2 = 0.  How the indices are laid out, and how `times` finds its
+products, is the algebra's own affair.  A basis element x^m e_s of a
+free module is one int, s * dimension + the index of m, so no tuple is
+hashed in the inner loop.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .alcoves import PreconditionError, require_prime
 from .characters import FormalCharacter, GradedCharacter
@@ -80,7 +72,10 @@ class BudgetError(RuntimeError):
 
 
 class RestrictedAlgebra:
-    """u(u_J) over F_p: PBW monomials x^a, 0 <= a_gamma < p, x_gamma^p = 0."""
+    """u(u_J) over F_p: PBW monomials x^a, 0 <= a_gamma < p, x_gamma^p = 0.
+
+    A monomial is known by its index, its position in the lexicographic
+    order of `monomials` (`mono_index`); index 0 is the unit."""
 
     def __init__(self, J, p: int, rs: RootSystem):
         require_prime(p, "the restricted enveloping algebra")
@@ -98,22 +93,22 @@ class RestrictedAlgebra:
                         in nilradical_constants(rs, self.roots).items()}
         self._check_restricted()
         self._mono_cache: dict = {}
-        self._root_fund = [rs.root_to_fund(g) for g in self.roots]
-        # the monomials by index (see `mono_index`), the first nonzero
-        # exponent of each, the index step p^(n-1-k) of x_k, and the
-        # products x_g x^m by index, filled as they are read
+        self.root_weights = [rs.root_to_fund(g) for g in self.roots]
+        # the monomials by index, the first nonzero exponent of each, the
+        # index step p^(n-1-k) of x_k, and the one table of products x_g x^m
+        # by index, straightened as they are read (`mult_gen` decodes it)
         self.monomials = list(product(range(p), repeat=self.n))
-        self.lead = [next((k for k, a in enumerate(m) if a), None)
-                     for m in self.monomials]
+        self._lead = [next((k for k, a in enumerate(m) if a), None)
+                      for m in self.monomials]
         self._step = [p ** (self.n - 1 - k) for k in range(self.n)]
-        self.gen_index: list[list] = [[None] * self.dimension
-                                      for _ in range(self.n)]
+        self._gen_index: list[list] = [[None] * self.dimension
+                                       for _ in range(self.n)]
         # {T-weight: increasing indices}, the weight of x^a being sum
         # a_gamma * gamma in fund coords; the unit is alone at weight 0, so
         # the other blocks are the basis of A_+ by weight
         self.by_weight: dict[tuple, list] = {}
         for i, m in enumerate(self.monomials):
-            wt = tuple(sum(a * f[t] for a, f in zip(m, self._root_fund))
+            wt = tuple(sum(a * f[t] for a, f in zip(m, self.root_weights))
                        for t in range(rs.rank))
             self.by_weight.setdefault(wt, []).append(i)
 
@@ -147,38 +142,63 @@ class RestrictedAlgebra:
             i = i * self.p + a
         return i
 
-    def mult_gen_index(self, g: int, i: int) -> tuple:
+    def _mult_gen_index(self, g: int, i: int) -> tuple:
         """x_g * x^(monomials[i]) as ((index, coeff mod p), ...), kept in
-        `gen_index`.  With h the first index where m_h > 0, x_g x^m is
+        `_gen_index`.  With h the first index where m_h > 0, x_g x^m is
         already in PBW order when g <= h; otherwise x^m = x_h x^(m - e_h)
         and x_g x_h = x_h x_g + [x_g, x_h]."""
-        out = self.gen_index[g][i]
+        out = self._gen_index[g][i]
         if out is not None:
             return out
         p, step = self.p, self._step
-        h = self.lead[i]
+        h = self._lead[i]
         if h is None or g <= h:
             out = () if i // step[g] % p == p - 1 else ((i + step[g], 1),)
         else:
             rest = i - step[h]
             acc: dict = {}
-            for t, c in self.mult_gen_index(g, rest):
-                for t2, c2 in self.mult_gen_index(h, t):
+            for t, c in self._mult_gen_index(g, rest):
+                for t2, c2 in self._mult_gen_index(h, t):
                     acc[t2] = (acc.get(t2, 0) + c * c2) % p
             br = self.bracket.get((h, g))
             if br is not None:
                 k, cN = br
                 c = (-cN) % p  # [x_g, x_h] = -[x_h, x_g]
-                for t, c2 in self.mult_gen_index(k, rest):
+                for t, c2 in self._mult_gen_index(k, rest):
                     acc[t] = (acc.get(t, 0) + c * c2) % p
             out = tuple((t, c) for t, c in acc.items() if c)
-        self.gen_index[g][i] = out
+        self._gen_index[g][i] = out
         return out
 
+    def lower(self, i: int) -> tuple:
+        """(h, j) with x^(monomials[i]) = x_h x^(monomials[j]) in PBW order,
+        for i > 0: h is the first index where the exponent is positive."""
+        h = self._lead[i]
+        return h, i - self._step[h]
+
+    def times(self, g: int, vec: dict) -> dict:
+        """x_g vec for an element vec keyed s * dimension + index, reduced
+        mod p: x_g x^m e_s is read off `_gen_index` at the index of m and
+        moved to the block of e_s."""
+        dim, row = self.dimension, self._gen_index[g]
+        out: dict = {}
+        get = out.get
+        for key, c in vec.items():
+            i = key % dim
+            prods = row[i]
+            if prods is None:
+                prods = self._mult_gen_index(g, i)
+            base = key - i
+            for j, c2 in prods:
+                j += base
+                out[j] = get(j, 0) + c * c2
+        p = self.p
+        return {key: r for key, x in out.items() if (r := x % p)}
+
     def mult_gen(self, g: int, mono: tuple) -> dict:
-        """x_g * x^mono as {monomial: coeff mod p}, read off `gen_index`."""
+        """x_g * x^mono as {monomial: coeff mod p}, read off `_gen_index`."""
         return {self.monomials[j]: c
-                for j, c in self.mult_gen_index(g, self.mono_index(mono))}
+                for j, c in self._mult_gen_index(g, self.mono_index(mono))}
 
     def mult_mono(self, a: tuple, mono: tuple) -> dict:
         """x^a * x^mono as {monomial: coeff mod p}."""
@@ -217,8 +237,8 @@ def build_algebra(J, p: int, rs: RootSystem) -> RestrictedAlgebra:
 # Minimal resolution
 #
 # A free module element is a dict {key: coeff} with one int key per
-# basis element: x^m e_s has key s * p^n + mono_index(m), so the keys of
-# one generator form a block in lexicographic monomial order.  The
+# basis element: x^m e_s has key s * dimension + mono_index(m), so the
+# keys of one generator form a block in lexicographic monomial order.  The
 # T-weight of x^m e_s is gen_weight[s] + weight(m); differentials
 # preserve weight, so kernels split into small blocks.
 
@@ -227,7 +247,8 @@ class ResolutionStage:
     """The finished stage F_degree.  Per generator, numbered by weight: its
     weight (fund coords) and its image under the differential, an
     int-keyed element of the previous stage.  Stage 0 has one generator of
-    weight 0 and the zero map [{}] to k."""
+    weight 0 and the zero map [{}] to k.  `dims` (dim F_degree by weight)
+    is filled when `MinimalResolution._kernel_dim` first reads it."""
 
     def __init__(self, degree: int, gen_weights: list, differential: list):
         self.degree = degree
@@ -236,6 +257,7 @@ class ResolutionStage:
         for s, wt in enumerate(gen_weights):
             self.gens.setdefault(wt, []).append(s)
         self.differential = differential
+        self.dims: dict[tuple, int] | None = None
 
 
 class MinimalResolution:
@@ -289,34 +311,13 @@ class MinimalResolution:
                     out[k3] = (out.get(k3, 0) + c * c2 * c3) % alg.p
         return {k: v for k, v in out.items() if v}
 
-    def _times(self, g: int, vec: dict) -> dict:
-        """x_g vec for an int-keyed element vec, reduced mod p: x_g x^m e_s
-        is read off `gen_index` at the index of m and moved to the block
-        of e_s."""
-        alg = self.alg
-        dim, row = alg.dimension, alg.gen_index[g]
-        out: dict = {}
-        get = out.get
-        for key, c in vec.items():
-            i = key % dim
-            prods = row[i]
-            if prods is None:
-                prods = alg.mult_gen_index(g, i)
-            base = key - i
-            for j, c2 in prods:
-                j += base
-                out[j] = get(j, 0) + c * c2
-        p = alg.p
-        return {key: r for key, x in out.items() if (r := x % p)}
-
     def _image(self, images, memo: dict, key: int) -> dict:
-        """x^m images[s] for key = s * p^n + mono_index(m), memoised in
+        """x^m images[s] for key = s * dimension + index of m, memoised in
         `memo` by key.
 
-        With h the first index where m_h > 0, x^m = x_h x^(m - e_h) in PBW
-        order, and the key of x^(m - e_h) e_s is key - p^(n-1-h), so the
-        image is x_h times the image one step lower, which only needs
-        `gen_index`.  A memo serves one map `images`."""
+        With (h, j) = `lower` of that index, x^m = x_h x^(monomials[j]) in
+        PBW order, so the image is x_h times the image one step lower, at
+        key - index + j.  A memo serves one map `images`."""
         out = memo.get(key)
         if out is not None:
             return out
@@ -324,9 +325,9 @@ class MinimalResolution:
         i = key % alg.dimension
         if not i:
             return images[key // alg.dimension]
-        h = alg.lead[i]
-        lower = self._image(images, memo, key - alg._step[h])
-        out = memo[key] = self._times(h, lower)
+        h, j = alg.lower(i)
+        lower = self._image(images, memo, key - i + j)
+        out = memo[key] = alg.times(h, lower)
         return out
 
     def _d_block(self, degree: int, dom: list, memo: dict | None = None):
@@ -356,11 +357,18 @@ class MinimalResolution:
         """dim K_n at weight wt, K_n = ker d_n, from stages 0 to n alone:
         0 -> K_n -> F_n -> K_(n-1) -> 0 is exact for each n, with K_(-1) =
         k at weight 0, so dim K_n = dim F_n - dim K_(n-1), weight by
-        weight, and dim F_k at wt is counted from `gens` and `by_weight`."""
-        count, by_weight = int(not any(wt)), self.alg.by_weight
+        weight.  dim F_k is counted from `gens` and `by_weight` once per
+        stage, at every weight of F_k, into the stage's `dims`."""
+        count = int(not any(wt))
         for st in self.stages[:n + 1]:
-            count = sum(len(s) * len(by_weight.get(tuple(map(sub, wt, w)), ()))
-                        for w, s in st.gens.items()) - count
+            dims = st.dims
+            if dims is None:
+                dims = st.dims = {}
+                for w, gens in st.gens.items():
+                    for v, monos in self.alg.by_weight.items():
+                        key = tuple(map(add, w, v))
+                        dims[key] = dims.get(key, 0) + len(gens) * len(monos)
+            count = dims.get(wt, 0) - count
         return count
 
     def _stage(self, degree: int):
@@ -446,7 +454,7 @@ class MinimalResolution:
 
     def check_minimal(self) -> bool:
         """No differential entry has a unit (constant-term) coefficient:
-        no key x^0 e_s = s p^n with a coefficient nonzero mod p."""
+        no key x^0 e_s = s * dimension with a coefficient nonzero mod p."""
         dim, p = self.alg.dimension, self.alg.p
         return not any(key % dim == 0 and c % p for st in self.stages[1:]
                        for elem in st.differential for key, c in elem.items())
@@ -486,7 +494,7 @@ def _may_weights(alg: RestrictedAlgebra, n: int) -> set:
 
     def sums(choose, k):
         return {tuple(map(sum, zip(zero, *roots)))
-                for roots in choose(alg._root_fund, k)}
+                for roots in choose(alg.root_weights, k)}
 
     return {tuple(alg.p * a + b for a, b in zip(sym, ext))
             for i in range(n // 2 + 1)
@@ -528,12 +536,9 @@ def yoneda_product(res: MinimalResolution, z1, z2):
         if not (0 <= degree < len(betti) and 0 <= index < betti[degree]):
             raise ValueError(f"no class ({degree}, {index}): the computed"
                              f" Betti numbers are {betti}")
-    d1, g1idx = z1
-    d2, g2idx = z2
-    alg = res.alg
-    p = alg.p
-    total = d1 + d2
-    if total >= len(res.stages):
+    (d1, g1idx), (d2, g2idx) = z1, z2
+    p = res.alg.p
+    if d1 + d2 >= len(res.stages):
         raise ValueError("product degree beyond the computed resolution")
 
     # g_0: F_{d2} -> F_0, e_s -> delta_{s,g2idx} * e_0 (key 0)
@@ -568,14 +573,10 @@ def yoneda_product(res: MinimalResolution, z1, z2):
 
     # z1 o g_{d1}: evaluate the dual cocycle of generator g1idx on each
     # generator image (the unit-coefficient of the g1idx component, whose
-    # key is g1idx * p^n)
-    out = {}
-    for s in range(len(res.stages[total].gen_weights)):
-        val = chain[d1][s].get(g1idx * alg.dimension, 0) if d1 > 0 else \
-            int(s == g2idx)
-        if val % p:
-            out[s] = val % p
-    return out
+    # key is g1idx * dimension; for d1 = 0, g_0 itself)
+    unit = g1idx * res.alg.dimension
+    return {s: val for s, image in enumerate(chain[d1])
+            if (val := image.get(unit, 0) % p)}
 
 
 def square_certificate(res: MinimalResolution, degree: int, weight: tuple):

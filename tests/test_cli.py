@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nilcoh import cli
 from nilcoh.cli import COMMANDS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -209,6 +210,24 @@ def test_lambda_defaults_to_zero_weight(capsys):
             payload.pop("config")
             payload.pop("elapsed_ms", None)
         assert implicit == explicit, argv
+
+
+def test_commands_that_read_no_weyl_group_build_none(capsys, monkeypatch):
+    """`oracle-koszul`, `quantum` and `ext` without --check-square never
+    read W, so they give the same payloads when building W fails."""
+    argvs = (("oracle-koszul", "--type", "A2", "--p", "5"),
+             ("quantum", "--type", "A2", "--l", "5"),
+             ("ext", "--type", "A2", "--p", "5", "--max-degree", "2"))
+    expected = [run_json(capsys, *argv) for argv in argvs]
+
+    def refuse(rs):
+        raise AssertionError(f"W({rs.label}) was built")
+
+    monkeypatch.setattr(cli, "enumerate_group", refuse)
+    assert [run_json(capsys, *argv) for argv in argvs] == expected
+    code, _, err = run_cli(capsys, "ext", "--type", "A2", "--p", "5",
+                           "--check-square")
+    assert code == 1 and "W(A2) was built" in err
 
 
 def test_exit_code_2_on_weyl_group_too_large(capsys):

@@ -11,6 +11,7 @@ removed by mistake fails here rather than in the benchmark.
 """
 
 import importlib.util
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -162,6 +163,24 @@ def test_flags_before_the_search_are_rejected(capsys):
         assert exc.value.code == 2 and captured.out == ""
         assert hint in captured.err
         assert "invalid choice" not in captured.err
+
+
+@pytest.mark.parametrize("argv,config", (
+    (("verify", "sum-dot", "--type", "A2", "--p", "5"),
+     {"command": "verify", "search": "sum-dot", "type": "A2", "p": 5,
+      "l": None, "format": "json"}),
+    (("character", "--type", "B2", "--p", "5", "--which", "parabolic"),
+     {"command": "character", "type": "B2", "p": 5, "l": None, "J": "",
+      "lam": None, "max_degree": 4, "which": "parabolic", "format": "json"}),
+    (("oracle-koszul", "--type", "A2", "--p", "5", "--field", "Q"),
+     {"command": "oracle-koszul", "type": "A2", "p": 5, "J": "",
+      "field": "Q", "format": "json"})), ids=("sum-dot", "character",
+                                              "oracle-koszul"))
+def test_config_echoes_every_parsed_flag(capsys, argv, config):
+    """The payload's `config` is the whole parsed command line: the search
+    name, `--which` and `--field` included."""
+    assert main(list(argv)) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == config
 
 
 # -- parser drift guard ------------------------------------------------

@@ -16,7 +16,7 @@ from nilcoh.linalg import Span
 from nilcoh.restricted import (BudgetError, MinimalResolution,
                                ResolutionStage, RestrictedAlgebra,
                                _height_form, _may_weights, build_algebra,
-                               ext_dims, find_class_by_weight,
+                               certificate, ext_dims, find_class_by_weight,
                                square_certificate, yoneda_product)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
@@ -156,6 +156,57 @@ def test_yoneda_graded_commutative(b2_p5):
                 yoneda_product(res, (2, j), (1, i))
 
 
+# the algebra members that the resolution, its Yoneda products,
+# `_may_weights` and `certificate` may read
+ALGEBRA_MEMBERS = ("rs", "J", "p", "dimension", "by_weight", "root_weights",
+                   "times", "lower", "monomials", "mono_index", "mult_mono")
+
+
+class _Boundary:
+    """An algebra seen through ALGEBRA_MEMBERS alone: any other name
+    raises AttributeError."""
+
+    def __init__(self, alg):
+        self._alg = alg
+
+    def __getattr__(self, name):
+        if name not in ALGEBRA_MEMBERS:
+            raise AttributeError(f"the resolution read alg.{name}")
+        return getattr(self._alg, name)
+
+
+@pytest.mark.parametrize("label,p,J,degree", (("B2", 5, (), 4),
+                                              ("G2", 5, (1,), 3)),
+                         ids=("B2-p5-d4", "G2-p5-J1-d3"))
+def test_resolution_reads_only_the_named_algebra_members(label, p, J,
+                                                         degree):
+    """`ext_dims`, `yoneda_product`, `square_certificate` and `certificate`
+    over an algebra that exposes only ALGEBRA_MEMBERS give the stages and
+    products of the direct build."""
+    rs = build(label)
+    gc, direct = ext_dims(build_algebra(J, p, rs), degree)
+    gc_seen, seen = ext_dims(_Boundary(build_algebra(J, p, rs)), degree)
+    assert gc_seen == gc
+    assert [st.gen_weights for st in seen.stages] == \
+        [st.gen_weights for st in direct.stages]
+    assert [[list(e.items()) for e in st.differential]
+            for st in seen.stages] == \
+        [[list(e.items()) for e in st.differential] for st in direct.stages]
+    pairs = [((a, i), (b, j)) for a, b in ((1, 1), (1, 2), (2, 1))
+             for i in range(len(direct.stages[a].gen_weights))
+             for j in range(len(direct.stages[b].gen_weights))]
+    assert [yoneda_product(seen, z1, z2) for z1, z2 in pairs] == \
+        [yoneda_product(direct, z1, z2) for z1, z2 in pairs]
+    example = None
+    if degree >= 4:
+        group = enumerate_group(rs)
+        wt = group.multiply(group.simple[1], group.simple[0]).dot((0, 0), rs)
+        example = square_certificate(seen, 2, wt)
+        assert example == square_certificate(direct, 2, wt)
+        assert example["nonzero"] is True
+    assert certificate(seen, example) == certificate(direct, example)
+
+
 def test_yoneda_products_on_one_resolution_match_fresh_ones(b2_p5):
     """Products on one resolution, which share its lifting spans and image
     memos, equal the same products each lifted from scratch."""
@@ -229,7 +280,7 @@ def _two_pass_stages(alg, max_degree):
     res.stages = [ResolutionStage(0, [(0,) * alg.rs.rank], [{}])]
     dim = alg.dimension
     # the weight of each monomial by index, sum a_gamma * gamma
-    weights = [tuple(sum(a * f[t] for a, f in zip(m, alg._root_fund))
+    weights = [tuple(sum(a * f[t] for a, f in zip(m, alg.root_weights))
                      for t in range(alg.rs.rank)) for m in alg.monomials]
     kernel = [{i: 1} for i in range(1, dim)]
     for degree in range(1, max_degree + 1):
@@ -239,7 +290,7 @@ def _two_pass_stages(alg, max_degree):
             s0, i0 = divmod(next(iter(elem)), dim)
             wt = tuple(a + b for a, b in zip(prev[s0], weights[i0]))
             ker_by_wt.setdefault(wt, []).append(elem)
-            for g, gf in enumerate(alg._root_fund):
+            for g, gf in enumerate(alg.root_weights):
                 moved = {}
                 for key, c in elem.items():
                     s, i = divmod(key, dim)
@@ -376,7 +427,7 @@ def test_memoised_image_matches_mult_mono(resolutions, case, data):
 
 
 def test_build_calls_no_mult_mono_and_keeps_no_image_memo(monkeypatch):
-    """The resolution multiplies by `gen_index` alone, and each stage's
+    """The resolution multiplies by `times` alone, and each stage's
     image memos are unreachable once the build ends."""
     calls = []
     mult_mono = RestrictedAlgebra.mult_mono
@@ -565,7 +616,7 @@ def test_may_weights_hold_every_generator(uncapped, label, p, J, degree):
     res = uncapped(label, p, J, degree)
     alg = res.alg
     form = _height_form(alg.rs)
-    heights = sorted((sum(map(mul, form, f)) for f in alg._root_fund),
+    heights = sorted((sum(map(mul, form, f)) for f in alg.root_weights),
                      reverse=True)
     for st in res.stages:
         n, may = st.degree, _may_weights(alg, st.degree)
@@ -583,7 +634,7 @@ def test_may_weights_for_p2_are_those_of_the_symmetric_power(label, J):
     alg = build_algebra(J, 2, build(label))
     for n in range(6):
         sums = {tuple(map(sum, zip((0,) * alg.rs.rank, *roots)))
-                for roots in combinations_with_replacement(alg._root_fund, n)}
+                for roots in combinations_with_replacement(alg.root_weights, n)}
         assert _may_weights(alg, n) == sums
 
 

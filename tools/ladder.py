@@ -13,8 +13,9 @@ is lifted, since every case but A3 p=5 is over it.
     python tools/ladder.py              # the fixed ladder
     python tools/ladder.py G2 7 4       # one case: type, p, degree
 
-Uses the standard library only; Linux only (VmHWM).  It is not part of
-the test suite.
+Uses the standard library only; Linux only (VmHWM).  The fixed ladder is
+not part of the test suite; `tests/test_ladder.py` runs the one case
+B2 5 4 and checks its dims and stage hashes.
 """
 
 import json
