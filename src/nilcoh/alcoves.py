@@ -146,10 +146,11 @@ def admissibility(ell: int, rs: RootSystem, context: str):
 def require_admissible(ell: int, rs: RootSystem, context: str) -> AdmissibilityProfile:
     profile, passed = admissibility(ell, rs, context)
     if not passed:
-        failing = [k for k, v in profile.flags().items() if not v]
+        failing = [k for k, v in profile.flags().items()
+                   if not v and k in ADMISSIBLE[context]]
         raise RegimeError(
             f"l={ell} fails admissibility for context {context!r} on {rs.label}"
-            f" (violated flags: {', '.join(failing) or 'context requirement'})")
+            f" (violated flags: {', '.join(failing)})")
     return profile
 
 

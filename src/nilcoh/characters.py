@@ -2,7 +2,8 @@
 
 A FormalCharacter is a finitely supported Z-valued function on weights
 (fundamental coordinates).  Levi simple characters are computed
-characteristic-zero style by Freudenthal's recursion; every weight this
+characteristic-zero style by Demazure's character formula over a reduced
+word of the longest element of W_J, in integers only; every weight this
 package feeds in lies in the regime where the modular Levi simple agrees
 with the Weyl character, and the operation documents (but does not police)
 that assumption.
@@ -126,7 +127,7 @@ def format_poincare(dims) -> str:
 
 
 # ----------------------------------------------------------------------
-# Levi simple characters (Freudenthal recursion)
+# Levi simple characters (Demazure's character formula)
 
 
 def _j_dominant(mu: tuple, J) -> tuple:
@@ -138,21 +139,6 @@ def _j_dominant(mu: tuple, J) -> tuple:
     return J
 
 
-def _dominant_rep_ordinary(nu: tuple, J, rs: RootSystem):
-    """(W_J-dominant representative under the ordinary (undotted) action,
-    number of simple reflections taken).  Each reflection lowers the length
-    of the element still to apply by one, so the loop ends."""
-    steps = 0
-    while True:
-        for i in J:
-            if nu[i] < 0:
-                nu = rs.reflect(nu, i)
-                steps += 1
-                break
-        else:
-            return nu, steps
-
-
 def levi_simple_character(mu: tuple, J, rs: RootSystem) -> FormalCharacter:
     """Character of the Levi highest-weight simple L_J(mu), char-0 style."""
     return _levi_character_cached(rs.label, tuple(mu), _j_dominant(mu, J))
@@ -160,89 +146,23 @@ def levi_simple_character(mu: tuple, J, rs: RootSystem) -> FormalCharacter:
 
 @lru_cache(maxsize=None)
 def _levi_character_cached(label: str, mu: tuple, J: tuple) -> FormalCharacter:
+    """D_{i1} ... D_{ik} e^mu over a reduced word s_{i1} ... s_{ik} of the
+    longest element of W_J.  With n = <nu, alpha_i^vee>, D_i sends e^nu to
+    e^nu + e^{nu - alpha_i} + ... + e^{nu - n alpha_i} when n >= 0, and to
+    -(e^{nu + alpha_i} + ... + e^{nu + (-n-1) alpha_i}) when n < 0."""
     rs = build(label)
-    if not J:
-        return FormalCharacter.single(mu)
-    phi_j = rs.phi_j_plus(J)
-    rho_j2 = tuple(map(sum, zip(*map(rs.root_to_fund, phi_j))))  # 2 rho_J
-
-    # doubled coordinates and the scaled form keep every norm integral
-    def norm2_shifted(nu):
-        v = tuple(2 * a + b for a, b in zip(nu, rho_j2))  # 2(nu + rho_J)
-        return rs.inner_scaled(v, v)  # = D * 4 |nu + rho_J|^2
-
-    top = norm2_shifted(mu)
-    scale = 8 * rs.inner_denominator
-    # (nu, gamma) = sum_j d_j nu_j gamma_j with gamma in root coordinates
-    d_gamma = [tuple(d * c for d, c in zip(rs.d, gamma)) for gamma in phi_j]
-    gamma_fund = [rs.root_to_fund(gamma) for gamma in phi_j]
-    simple_j_fund = {i: rs.simple_root_fund(i) for i in J}
-    dominant_mults: dict[tuple, int] = {}
-    # root coordinates of mu - nu, a nonnegative combination of J simples
-    depth = {mu: (0,) * rs.rank}
-
-    def mult_of(nu):
-        rep, _ = _dominant_rep_ordinary(nu, J, rs)
-        return dominant_mults.get(rep, 0)
-
-    # BFS levels over mu - N.Phi_J, pruned by the norm inequality
-    level = {mu}
-    dominant_mults[mu] = 1
-    while level:
-        children = set()
-        for nu in level:
-            for i in J:
-                child = tuple(a - b for a, b in zip(nu, simple_j_fund[i]))
-                if child in depth:
-                    continue
-                if norm2_shifted(child) > top:
-                    continue
-                dep = list(depth[nu])
-                dep[i] += 1
-                depth[child] = tuple(dep)
-                children.add(child)
-        # compute multiplicities for the J-dominant children of this level
-        for nu in sorted(children):
-            if any(nu[i] < 0 for i in J):
-                continue
-            denom = top - norm2_shifted(nu)  # 4D(|mu+rho|^2 - |nu+rho|^2)
-            if denom == 0:
-                continue
-            dep = depth[nu]
-            s = 0
-            for gamma, dg, gf in zip(phi_j, d_gamma, gamma_fund):
-                k = 1
-                while True:
-                    up = tuple(a + k * b for a, b in zip(nu, gf))
-                    m = mult_of(up)
-                    if m == 0 and any(x < k * c for x, c in zip(dep, gamma)):
-                        break  # mu - up is not in N.Phi_J
-                    if m:
-                        s += m * sum(map(mul, up, dg))
-                    k += 1
-            # 2 s / (|mu+rho|^2 - |nu+rho|^2), norms were scaled by 4D
-            val, rem = divmod(scale * s, denom)
-            assert rem == 0
-            if val:
-                dominant_mults[nu] = val
-        level = children
-
-    out = {}
-    # expand dominant multiplicities over W_J orbits
-    for rep, m in dominant_mults.items():
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for nu in frontier:
-                for i in J:
-                    if nu[i] and (img := rs.reflect(nu, i)) not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        for nu in orbit:
-            out[nu] = m
-    return FormalCharacter(out)
+    chi = {mu: 1}
+    for i in reversed(rs._w0_word(J)):
+        alpha = rs.simple_root_fund(i)
+        out = {}
+        for nu, m in chi.items():
+            n = nu[i]
+            ks, sign = (range(n + 1), m) if n >= 0 else (range(-1, n, -1), -m)
+            for k in ks:
+                key = tuple(a - k * b for a, b in zip(nu, alpha))
+                out[key] = out.get(key, 0) + sign
+        chi = {nu: m for nu, m in out.items() if m}
+    return FormalCharacter(chi)
 
 
 def weyl_dimension_levi(mu: tuple, J, rs: RootSystem) -> int:
@@ -281,12 +201,15 @@ def euler_induction(chi: FormalCharacter, J, rs: RootSystem) -> FormalCharacter:
 
 
 def _dominant_dot_correction(mu: tuple, J, rs: RootSystem):
-    """(sign, nu) with nu = u.mu J-dominant, or None if dot-singular."""
-    shifted, steps = _dominant_rep_ordinary(
-        tuple(m + r for m, r in zip(mu, rs.rho)), J, rs)
+    """(sign, nu) with nu = u.mu J-dominant, or None if dot-singular.  Each
+    simple reflection of mu + rho lowers the length of the element still to
+    apply by one, so the loop ends."""
+    shifted, sign = tuple(m + r for m, r in zip(mu, rs.rho)), 1
+    while (i := next((i for i in J if shifted[i] < 0), None)) is not None:
+        shifted, sign = rs.reflect(shifted, i), -sign
     if any(shifted[i] == 0 for i in J):
         return None
-    return (-1) ** steps, tuple(c - r for c, r in zip(shifted, rs.rho))
+    return sign, tuple(c - r for c, r in zip(shifted, rs.rho))
 
 
 def frobenius_twist(chi: FormalCharacter, m: int) -> FormalCharacter:

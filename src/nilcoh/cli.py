@@ -333,14 +333,10 @@ def _run(args) -> dict:
         if args.l is None:
             raise PreconditionError("quantum checks need --l")
         _, l = _mode_modulus(args, rs)
-        profile, passed = admissibility(l, rs, "base")
-        if not passed:
-            raise PreconditionError(
-                f"l={l} fails the base admissibility gate on {rs.label}"
-                f" ({profile.flags()})")
+        require_regime("quantum", l, rs, "base")
         return {
             "l": l,
-            "admissibility": profile.flags(),
+            "admissibility": admissibility(l, rs, "base")[0].flags(),
             "defining_relations": defining_relations_hold(rs, l),
             "confluent": straightening_confluent(rs, l),
             "square_free_basis_count": 2 ** rs.num_positive,

@@ -2,9 +2,9 @@
 
 Weights are tuples of integers in fundamental-weight coordinates.
 Roots are tuples of integers in simple-root coordinates.  Nothing here
-ever touches a float.  Root <-> weight conversions of roots, coroot pairings
-and the scaled inner product are integer table lookups built once per root
-system; only `fund_to_root` of an arbitrary weight needs exact rationals.
+ever touches a float.  Root <-> weight conversions of roots and coroot
+pairings are integer table lookups built once per root system; only
+`fund_to_root` of an arbitrary weight needs exact rationals.
 
 The positive roots carry a fixed "convex" enumeration gamma_1 < ... < gamma_N
 induced by a reduced expression of the longest Weyl element (chosen
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .linalg import echelon
@@ -122,8 +121,6 @@ class RootSystem:
         self.coxeter_number = self.pairing(self.rho, self.highest_short_root) + 1
         # fund coords -> root coords, for every root
         self.root_of_fund = {self.root_to_fund(b): b for b in self._all_roots}
-        # (mu, nu) = inner_scaled(mu, nu) / inner_denominator
-        self.inner_denominator, self._gram_scaled = self._scaled_gram()
         self._phi_j: dict[frozenset, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -152,17 +149,20 @@ class RootSystem:
             frontier = nxt
         return frozenset(roots)
 
-    def _w0_word(self) -> tuple:
-        """Reduced word for w_0, by driving rho to -rho (smallest descent first)."""
+    def _w0_word(self, J=None) -> tuple:
+        """Reduced word for the longest element of W_J (J: every index when
+        None), by driving rho until no J-coordinate stays positive (smallest
+        descent first)."""
+        J = range(self.rank) if J is None else sorted(J)
         mu = self.rho
         applied = []
         while True:
-            i = next((i for i in range(self.rank) if mu[i] > 0), None)
+            i = next((i for i in J if mu[i] > 0), None)
             if i is None:
                 break
             mu = self.reflect(mu, i)
             applied.append(i)
-        assert mu == tuple(-x for x in self.rho)
+        assert all(mu[i] < 0 for i in J)
         return tuple(reversed(applied))
 
     def _convex_order(self) -> tuple:
@@ -189,12 +189,6 @@ class RootSystem:
             assert r == 0, "coroot coordinates must be integral"
             out.append(q)
         return tuple(out)
-
-    def _scaled_gram(self) -> tuple:
-        """(D, D * Gram) with D the least common denominator of the Gram matrix."""
-        g = self._gram
-        den = lcm(*(x.denominator for row in g for x in row))
-        return den, tuple(tuple(int(x * den) for x in row) for row in g)
 
     def _highest_short(self) -> tuple:
         short_len = min(self.root_length2(b) for b in self.positive_roots)
@@ -255,40 +249,6 @@ class RootSystem:
         k = self.pos_index.get(beta)
         cor = self._coroot(beta) if k is None else self.coroot_coords[k]
         return sum(map(mul, mu, cor))
-
-    @property
-    def _gram(self) -> tuple:
-        """Gram matrix (omega_i, omega_j) of the fundamental weights."""
-        g = getattr(self, "_gram_cache", None)
-        if g is None:
-            inv = self._cartan_inverse
-            # (mu, nu) = sum_j d_j mu_j (nu in root coords)_j
-            g = tuple(tuple(self.d[j] * inv[j][i] for i in range(self.rank))
-                      for j in range(self.rank))
-            self._gram_cache = g
-        return g
-
-    def inner_scaled(self, mu: tuple, nu: tuple) -> int:
-        """inner_denominator * (mu, nu), an exact integer."""
-        g = self._gram_scaled
-        tot = 0
-        for j in range(self.rank):
-            if mu[j]:
-                row = g[j]
-                tot += mu[j] * sum(map(mul, row, nu))
-        return tot
-
-    def inner(self, mu: tuple, nu: tuple) -> Fraction:
-        """W-invariant inner product of two weights (fundamental coords)."""
-        g = self._gram
-        tot = Fraction(0)
-        for j in range(self.rank):
-            if mu[j]:
-                row = g[j]
-                for i in range(self.rank):
-                    if nu[i]:
-                        tot += mu[j] * nu[i] * row[i]
-        return tot
 
     # ------------------------------------------------------------------
     # derived data

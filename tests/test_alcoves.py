@@ -78,9 +78,26 @@ def test_flags_keys_and_order():
         "odd", "gt_h", "ge_hminus1", "gt_2hminus2",
         "coprime_type_conditions", "base_coprime"]
     assert profile.flags()["coprime_type_conditions"] is False
-    with pytest.raises(RegimeError, match=r"violated flags: gt_h,"
+    with pytest.raises(RegimeError, match=r"violated flags:"
                        r" gt_2hminus2, coprime_type_conditions\)"):
         require_admissible(3, build("A2"), "ring")
+
+
+@pytest.mark.parametrize("label, ell, context, named, unnamed", (
+    ("A2", 4, "base", "odd", ("gt_2hminus2",)),
+    ("B2", 6, "weight-separation", "odd", ("gt_2hminus2",)),
+    ("G2", 9, "kostant", "base_coprime",
+     ("gt_2hminus2", "coprime_type_conditions")),
+    ("A2", 3, "ring", "gt_2hminus2, coprime_type_conditions", ("gt_h",)),
+))
+def test_require_admissible_names_only_context_flags(label, ell, context,
+                                                     named, unnamed):
+    """A failing flag the context does not require is not named."""
+    profile, _ = admissibility(ell, build(label), context)
+    assert all(not profile.flags()[flag] for flag in unnamed)
+    with pytest.raises(RegimeError) as exc:
+        require_admissible(ell, build(label), context)
+    assert str(exc.value).endswith(f"(violated flags: {named})")
 
 
 def test_unknown_context_rejected():

@@ -1,3 +1,7 @@
+import hashlib
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +34,7 @@ def test_levi_simple_dims_match_weyl_formula():
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["A2", "B2", "G2", "A3", "B3"]), st.data())
 def test_levi_dims_are_weyl_dims(label, data):
-    """Freudenthal's character and Weyl's dimension formula agree on every
+    """Demazure's character and Weyl's dimension formula agree on every
     Levi and every J-dominant weight."""
     rs = build(label)
     J = tuple(i for i in range(rs.rank) if data.draw(st.booleans()))
@@ -38,6 +42,86 @@ def test_levi_dims_are_weyl_dims(label, data):
                for i in range(rs.rank))
     assert levi_simple_character(mu, J, rs).dim() == \
         weyl_dimension_levi(mu, J, rs)
+
+
+# (type, J, weights): connected, disconnected, full-rank and torus Levis.
+# The hash was taken from the characters of Freudenthal's recursion, which
+# computed them before Demazure's formula did.
+LEVI_PINS = (
+    ("A1", (0,), [(5,), (2,), (6,), (0,), (1,)]),
+    ("A2", (0,), [(0, -1), (0, 1), (1, -3), (0, 0), (3, -3)]),
+    ("A2", (0, 1), [(1, 0), (3, 0), (0, 1), (0, 3), (2, 3)]),
+    ("A3", (0, 2), [(1, 1, 0), (2, 1, 1), (0, 1, 1), (2, -3, 0), (3, 2, 3)]),
+    ("A3", (0, 1, 2), [(2, 3, 3), (2, 2, 1), (1, 1, 0), (2, 3, 2), (3, 2, 0)]),
+    ("A4", (0, 1, 3), [(0, 2, 0, 0), (1, 0, 0, 1), (0, 2, -3, 2),
+                       (2, 1, -1, 2), (1, 2, 0, 2)]),
+    ("A4", (0, 3), [(1, -3, 3, 0), (1, 0, 2, 2), (0, -3, 2, 2), (1, 2, 1, 2),
+                    (1, -1, 2, 1)]),
+    ("B2", (1,), [(2, 2), (-3, 3), (-1, 1), (1, 0), (0, 0)]),
+    ("B2", (0, 1), [(1, 2), (1, 1), (3, 3), (3, 0), (1, 3)]),
+    ("B3", (0, 2), [(3, 1, 2), (1, 3, 3), (2, 2, 3), (1, -2, 0), (1, -2, 1)]),
+    ("B3", (0, 1, 2), [(1, 0, 3), (1, 2, 2), (0, 1, 3), (2, 2, 1), (0, 3, 3)]),
+    ("C3", (0, 2), [(3, 0, 3), (0, 0, 3), (0, -2, 0), (1, 0, 1), (0, -1, 0)]),
+    ("C3", (1, 2), [(-3, 0, 1), (1, 0, 2), (1, 0, 0), (3, 1, 3), (-2, 2, 2)]),
+    ("C4", (0, 2, 3), [(2, -1, 1, 0), (0, 3, 1, 1), (1, 0, 1, 0),
+                       (0, -3, 2, 1), (2, -1, 1, 2)]),
+    ("D4", (0, 2, 3), [(0, 1, 0, 0), (2, -1, 0, 2), (2, -3, 2, 1),
+                       (2, 3, 0, 2), (1, 1, 1, 0)]),
+    ("D4", (0, 1, 2, 3), [(1, 0, 1, 0), (0, 0, 1, 0), (0, 1, 1, 0),
+                          (1, 0, 0, 0), (0, 1, 0, 1)]),
+    ("D5", (0, 3, 4), [(0, 0, 1, 2, 0), (1, 2, -1, 2, 0), (2, -3, 0, 2, 0),
+                       (1, -2, 0, 2, 1), (0, 3, 2, 1, 1)]),
+    ("G2", (0,), [(3, 2), (0, 2), (1, -2), (1, -3), (1, 1)]),
+    ("G2", (0, 1), [(3, 1), (3, 2), (1, 1), (0, 0), (0, 1)]),
+    ("F4", (0, 3), [(1, 3, -2, 0), (0, -1, -2, 1), (2, -2, 3, 2),
+                    (1, -1, 1, 1), (0, -3, 2, 1)]),
+    ("F4", (0, 1, 2, 3), [(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+                          (0, 0, 1, 1), (0, 0, 0, 0)]),
+    ("E6", (0, 2, 5), [(1, -3, 0, 1, 0, 2), (0, 3, 0, 0, -1, 2),
+                       (2, 1, 2, -2, 2, 1), (1, 1, 2, 3, 0, 2),
+                       (0, 2, 2, -1, 1, 0)]),
+    ("B3", (), [(3, 0, -2), (0, -3, 0), (0, -1, -3)]),
+)
+LEVI_PINS_SHA256 = (
+    "685b0b87baa67fa301d8660df0bf3b3886e0ed36b78dc1163909d2ff034f0d46")
+
+
+def test_levi_characters_match_pinned_hash():
+    rows = [[label, list(J), list(mu),
+             levi_simple_character(mu, J, build(label)).to_json()]
+            for label, J, mus in LEVI_PINS for mu in mus]
+    assert len(rows) == 113
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == LEVI_PINS_SHA256
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3", "C3"]), st.data())
+def test_levi_character_invariants(label, data):
+    """Checks that use no character algorithm: positive multiplicities,
+    W_J-invariance, mu of multiplicity one, and mu - nu a nonnegative
+    integer combination of the J simple roots for every weight nu."""
+    rs = build(label)
+    J = tuple(i for i in range(rs.rank) if data.draw(st.booleans()))
+    mu = tuple(data.draw(st.integers(0 if i in J else -4, 3))
+               for i in range(rs.rank))
+    chi = levi_simple_character(mu, J, rs).support
+    assert chi[mu] == 1
+    for nu, m in chi.items():
+        assert m > 0
+        assert all(chi.get(rs.reflect(nu, i)) == m for i in J)
+        diff = rs.fund_to_root(tuple(a - b for a, b in zip(mu, nu)))
+        assert all(c.denominator == 1 and c >= 0 for c in diff)
+        assert all(c == 0 for i, c in enumerate(diff) if i not in J)
+
+
+@pytest.mark.parametrize("label, mu, dim", (("E6", (1, 0, 0, 0, 0, 1), 650),
+                                            ("F4", (1, 0, 0, 1), 1053)))
+def test_full_rank_levi_characters_of_e6_and_f4(label, mu, dim):
+    rs = build(label)
+    full = tuple(range(rs.rank))
+    assert levi_simple_character(mu, full, rs).dim() == dim
+    assert weyl_dimension_levi(mu, full, rs) == dim
 
 
 def test_a2_adjoint_zero_weight():

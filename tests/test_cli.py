@@ -122,6 +122,12 @@ def test_quantum_f4_counts_without_listing(capsys):
     assert data["square_free_basis_count"] == 16777216
 
 
+def test_quantum_exits_2_naming_odd(capsys):
+    """`quantum` gates --l through `require_regime` in the base context."""
+    _assert_input_error(capsys, ("quantum", "--type", "A2", "--l", "4"),
+                        "(violated flags: odd)")
+
+
 def test_ring_table_csv_and_tex(capsys):
     code, out, _ = run_cli(capsys, "ring-table", "--type", "A2", "--p", "7",
                            "--format", "csv")

@@ -28,7 +28,8 @@ def test_a2_full_decomposition():
 @given(st.sampled_from(["A2", "B2", "G2", "A3", "B3"]), st.data())
 def test_poincare_is_freudenthal_sum(label, data):
     """`poincare` takes each L_J(w.lam) dimension from Weyl's formula;
-    `character` expands the same entries by Freudenthal's recursion."""
+    `character` expands the same entries by Demazure's character formula,
+    which replaced the Freudenthal recursion the name refers to."""
     rs, g = _setup(label)
     J = tuple(i for i in range(rs.rank) if data.draw(st.booleans()))
     lam = tuple(data.draw(st.integers(0, 3)) for _ in range(rs.rank))

@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nilcoh.rootsystem import build
 
@@ -111,15 +109,6 @@ def test_bad_type_rejected():
 ALL_SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(ALL_SMALL_TYPES), st.data())
-def test_scaled_inner_is_denominator_times_inner(label, data):
-    rs = build(label)
-    weight = st.lists(st.integers(-20, 20), min_size=rs.rank, max_size=rs.rank)
-    mu, nu = tuple(data.draw(weight)), tuple(data.draw(weight))
-    assert rs.inner_scaled(mu, nu) == rs.inner_denominator * rs.inner(mu, nu)
-
-
 def test_integer_root_tables():
     for label in ALL_SMALL_TYPES:
         rs = build(label)
@@ -127,12 +116,17 @@ def test_integer_root_tables():
         assert len(rs.root_of_fund) == 2 * rs.num_positive
         for b in rs.positive_roots + tuple(negatives):
             assert rs.root_of_fund[rs.root_to_fund(b)] == b
-        # <omega_i, beta^vee> = 2 (omega_i, beta) / (beta, beta), rationally
+        # <omega_i, beta^vee> = 2 (omega_i, beta) / (beta, beta), rationally,
+        # with (mu, nu) = sum_j d_j mu_j (nu in root coordinates)_j
+        def inner(mu, nu):
+            return sum(d * a * b for d, a, b in
+                       zip(rs.d, mu, rs.fund_to_root(nu)))
+
         for b, cor in zip(rs.positive_roots, rs.coroot_coords):
             bf = rs.root_to_fund(b)
             for i in range(rs.rank):
                 mu = rs.fundamental_weight(i)
-                assert cor[i] == 2 * rs.inner(mu, bf) / rs.inner(bf, bf)
+                assert cor[i] == 2 * inner(mu, bf) / inner(bf, bf)
                 assert rs.pairing(mu, b) == cor[i]
             minus = tuple(-c for c in b)
             assert rs.pairing(rs.rho, minus) == -rs.pairing(rs.rho, b)
@@ -144,3 +138,15 @@ def test_phi_j_plus_is_computed_once_per_j():
     assert rs.phi_j_plus([1, 0]) is phi and rs.phi_j_plus({0, 1}) is phi
     assert phi == tuple(b for b in rs.positive_roots if not b[2] and not b[3])
     assert len(phi) == 3 and rs.phi_j_plus(()) == ()
+
+
+def test_levi_w0_word():
+    """The descent loop keeps the full word and gives a reduced word of the
+    longest element of W_J for any J."""
+    for label in ALL_SMALL_TYPES:
+        rs = build(label)
+        assert rs._w0_word(range(rs.rank)) == rs._w0_word() == rs.w0_word
+        for J in ((0,), (0, rs.rank - 1), ()):
+            word = rs._w0_word(J)
+            assert set(word) <= set(J)
+            assert len(word) == len(rs.phi_j_plus(J))
