@@ -25,8 +25,7 @@ from .kostant import (frobenius_kernel_character, kostant_decomposition,
 from .koszul import OracleBudgetError, oracle_cohomology
 from .restricted import (BudgetError, build_algebra, certificate, ext_dims,
                          find_class_by_weight, square_certificate)
-from .ring import (CohomologyRing, check_ring_laws, defining_relations_hold,
-                   straightening_confluent)
+from .ring import CohomologyRing, check_ring_laws
 from .rootsystem import UnsupportedTypeError, build
 from .verify import (consistency_suite, search_dot_collisions,
                      search_levi_weights, search_sum_dot)
@@ -133,7 +132,9 @@ FLAG_SPECS = {
     "J": dict(default="", help="comma-separated 0-based simple root indices"),
     "lambda": dict(dest="lam", help="weight in fundamental coordinates,"
                    " comma-separated; alcove and linkage require it, the"
-                   " other commands default to the zero weight"),
+                   " other commands default to the zero weight; write a"
+                   " weight that starts with a minus sign as"
+                   " --lambda=-1,0"),
     "max-degree": dict(type=int, default=4, help="top cohomological degree"),
     "unsafe": dict(action="store_true",
                    help="compute formal models below the stated bounds"),
@@ -160,7 +161,8 @@ COMMANDS = {
     "t1-invariants": ("T_1-invariants of H^j(u, L(lambda))",
                       ("p", "l", "lambda")),
     "ring-table": ("exterior multiplication table", ("p", "l", "J", "unsafe")),
-    "quantum": ("quantum exterior algebra checks", ("l",)),
+    "quantum": ("admissibility flags and the square-free basis count",
+                ("l",)),
     "oracle-koszul": ("brute-force cohomology oracle", ("p", "J", "field")),
     "ext": ("restricted Ext via minimal resolution",
             ("p", "J", "max-degree", "check-square")),
@@ -331,14 +333,12 @@ def _run(args) -> dict:
 
     if cmd == "quantum":
         if args.l is None:
-            raise PreconditionError("quantum checks need --l")
+            raise PreconditionError("quantum needs --l")
         _, l = _mode_modulus(args, rs)
         require_regime("quantum", l, rs, "base")
         return {
             "l": l,
             "admissibility": admissibility(l, rs, "base")[0].flags(),
-            "defining_relations": defining_relations_hold(rs, l),
-            "confluent": straightening_confluent(rs, l),
             "square_free_basis_count": 2 ** rs.num_positive,
         }
 

@@ -96,7 +96,7 @@ class RestrictedAlgebra:
         self.root_weights = [rs.root_to_fund(g) for g in self.roots]
         # the monomials by index, the first nonzero exponent of each, the
         # index step p^(n-1-k) of x_k, and the one table of products x_g x^m
-        # by index, straightened as they are read (`mult_gen` decodes it)
+        # by index, straightened as they are read
         self.monomials = list(product(range(p), repeat=self.n))
         self._lead = [next((k for k, a in enumerate(m) if a), None)
                       for m in self.monomials]
@@ -195,11 +195,6 @@ class RestrictedAlgebra:
         p = self.p
         return {key: r for key, x in out.items() if (r := x % p)}
 
-    def mult_gen(self, g: int, mono: tuple) -> dict:
-        """x_g * x^mono as {monomial: coeff mod p}, read off `_gen_index`."""
-        return {self.monomials[j]: c
-                for j, c in self._mult_gen_index(g, self.mono_index(mono))}
-
     def mult_mono(self, a: tuple, mono: tuple) -> dict:
         """x^a * x^mono as {monomial: coeff mod p}."""
         if not any(a):
@@ -213,20 +208,12 @@ class RestrictedAlgebra:
         head[g] -= 1
         head = tuple(head)
         out = {}
-        for t, c in self.mult_gen(g, mono).items():
-            for t2, c2 in self.mult_mono(head, t).items():
+        for j, c in self._mult_gen_index(g, self.mono_index(mono)):
+            for t2, c2 in self.mult_mono(head, self.monomials[j]).items():
                 out[t2] = (out.get(t2, 0) + c * c2) % self.p
         out = {t: c for t, c in out.items() if c}
         self._mono_cache[key] = out
         return out
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        out = {}
-        for ma, ca in x.items():
-            for mb, cb in y.items():
-                for t, c in self.mult_mono(ma, mb).items():
-                    out[t] = (out.get(t, 0) + ca * cb * c) % self.p
-        return {t: c for t, c in out.items() if c}
 
 
 def build_algebra(J, p: int, rs: RootSystem) -> RestrictedAlgebra:

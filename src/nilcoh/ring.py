@@ -18,7 +18,6 @@ l = 1 its scalar is the classical sign.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
 
 from .alcoves import PreconditionError, RegimeError, require_regime
 from .rootsystem import RootSystem
@@ -178,31 +177,6 @@ class RingElement:
             if scal.sign:
                 self.terms[cls] = scal
 
-    def __add__(self, other):
-        if self.ell != other.ell:
-            raise ValueError("mixed moduli")
-        out = dict(self.terms)
-        for cls, scal in other.terms.items():
-            if cls in out:
-                cur = out[cls]
-                if cur.exponent == scal.exponent:
-                    s = cur.sign + scal.sign
-                    if s == 0:
-                        del out[cls]
-                    else:
-                        # same monomial appearing twice with equal scalar
-                        raise ValueError(
-                            "coefficient outside the signed-monomial model")
-                else:
-                    raise ValueError(
-                        "coefficient outside the signed-monomial model")
-            else:
-                out[cls] = scal
-        return RingElement(out, self.ell)
-
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, RingElement) and self.ell == other.ell \
             and self.terms == other.terms
@@ -227,7 +201,6 @@ class CohomologyRing:
         self.group = group
         self.J = tuple(sorted(set(J)))
         self.mode = mode
-        self.unsafe = bool(unsafe)
         self.formal_only = False
         if mode not in ("classical", "quantum"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -244,24 +217,7 @@ class CohomologyRing:
             self.formal_only = True
         self.ell = 1 if mode == "classical" else modulus
         self.modulus = modulus
-        self.nil_roots = rs.nilradical_roots(self.J)
         self.reps = group.min_coset_reps(self.J)
-
-    def label(self) -> str:
-        tag = f"{self.mode} ring model, type {self.rs.label}, J={list(self.J)}," \
-              f" modulus {self.modulus}"
-        if self.formal_only:
-            tag += " [FORMAL MODEL: stated bounds not met]"
-        return tag
-
-    def one(self) -> RingElement:
-        zero_s = (0,) * len(self.nil_roots)
-        return RingElement({BasisClass(zero_s, self.group.identity):
-                            CycScalar.one(self.ell)}, self.ell)
-
-    def basis_class(self, s_part, w_part) -> RingElement:
-        cls = BasisClass(tuple(s_part), w_part)
-        return RingElement({cls: CycScalar.one(self.ell)}, self.ell)
 
     def multiply_classes(self, c1: BasisClass, c2: BasisClass) -> RingElement:
         cached = getattr(self, "_mc_cache", None)
@@ -284,15 +240,6 @@ class CohomologyRing:
         # polynomial part is central and even: no extra sign
         s = tuple(a + b for a, b in zip(c1.s_part, c2.s_part))
         return RingElement({BasisClass(s, w): scal}, self.ell)
-
-    def multiply(self, x: RingElement, y: RingElement) -> RingElement:
-        out = RingElement({}, self.ell)
-        for c1, s1 in x.terms.items():
-            for c2, s2 in y.terms.items():
-                prod = self.multiply_classes(c1, c2)
-                for cls, scal in prod.terms.items():
-                    out = out + RingElement({cls: s1 * s2 * scal}, self.ell)
-        return out
 
     def exterior_table(self) -> dict:
         """{(w1, w2): (CycScalar, w) or None} over ^JW x ^JW, with
@@ -395,41 +342,3 @@ def check_ring_laws(ring: CohomologyRing) -> dict:
     ok_comm = all(commutes(a, b, ab) for (a, b), ab in nonzero)
     return {"associative": ok_assoc, "odd_squares_zero": ok_square,
             "identity": ok_identity, "graded_commutative": ok_comm}
-
-
-def defining_relations_hold(rs: RootSystem, ell: int) -> bool:
-    """x_i^2 = 0 and x_i x_j = -zeta^{-(gamma_i, gamma_j)} x_j x_i for i < j,
-    checked on every generator pair via the straightening routine."""
-    n = len(rs.positive_roots)
-    for i in range(n):
-        scal, _ = quantum_straighten((i, i), rs, ell)
-        if scal.sign != 0:
-            return False
-        for j in range(i + 1, n):
-            # straighten x_j x_i and compare against the stated relation
-            scal, srt = quantum_straighten((j, i), rs, ell)
-            v = rs.inner_roots(rs.positive_roots[i], rs.positive_roots[j])
-            if srt != (i, j) or scal != CycScalar(-1, v, ell):
-                return False
-    return True
-
-
-def straightening_confluent(rs: RootSystem, ell: int) -> bool:
-    """All parenthesizations of generator words of length 3 straighten
-    alike."""
-    n = len(rs.positive_roots)
-    for a, b, c in product(range(n), repeat=3):
-        # ((xy)z) vs (x(yz)): straighten stepwise both ways
-        s1, m1 = quantum_straighten((a, b), rs, ell)
-        s1b, m1b = quantum_straighten(m1 + (c,), rs, ell)
-        left = (s1 * s1b, m1b) if s1.sign and s1b.sign else (CycScalar.zero(ell), ())
-        s2, m2 = quantum_straighten((b, c), rs, ell)
-        s2b, m2b = quantum_straighten((a,) + m2, rs, ell)
-        right = (s2 * s2b, m2b) if s2.sign and s2b.sign else (CycScalar.zero(ell), ())
-        flat = quantum_straighten((a, b, c), rs, ell)
-        flat = (flat[0], flat[1]) if flat[0].sign else (CycScalar.zero(ell), ())
-        if left[0].sign == 0 and right[0].sign == 0 and flat[0].sign == 0:
-            continue
-        if not (left == right == flat):
-            return False
-    return True

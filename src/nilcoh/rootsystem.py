@@ -20,9 +20,6 @@ from operator import mul
 
 from .linalg import echelon
 
-SUPPORTED_TYPES = ("A", "B", "C", "D", "E", "F", "G")
-
-
 class UnsupportedTypeError(ValueError):
     pass
 

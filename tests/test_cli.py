@@ -109,16 +109,20 @@ def test_character_frobenius(capsys):
     assert data["dims"] == [1, 2, 6, 10, 19]
 
 
+# the whole `quantum` payload: no key that no input can make false
+QUANTUM_KEYS = {"admissibility", "config", "l", "square_free_basis_count"}
+
+
 def test_quantum_subcommand(capsys):
     data = run_json(capsys, "quantum", "--type", "A2", "--l", "5")
-    assert data["defining_relations"] and data["confluent"]
+    assert set(data) == QUANTUM_KEYS
     assert data["square_free_basis_count"] == 8
 
 
 def test_quantum_f4_counts_without_listing(capsys):
     """2^24 square-free monomials: counted, not straightened one by one."""
     data = run_json(capsys, "quantum", "--type", "F4", "--l", "13")
-    assert data["defining_relations"] and data["confluent"]
+    assert set(data) == QUANTUM_KEYS
     assert data["square_free_basis_count"] == 16777216
 
 

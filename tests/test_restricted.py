@@ -45,6 +45,16 @@ MULT_CASES = pytest.mark.parametrize("label,p,J", (
                            "G2-p5-J1"))
 
 
+def _mult_sum(alg, terms):
+    """The sum of coeff * x^a x^b over terms (coeff, a, b), as
+    {monomial: coeff mod p} with the zero coefficients dropped."""
+    out = {}
+    for coeff, a, b in terms:
+        for t, c in alg.mult_mono(a, b).items():
+            out[t] = (out.get(t, 0) + coeff * c) % alg.p
+    return {t: c for t, c in out.items() if c}
+
+
 @MULT_CASES
 def test_multiplication_associative_spot_check(label, p, J):
     alg = build_algebra(J, p, build(label))
@@ -53,10 +63,10 @@ def test_multiplication_associative_spot_check(label, p, J):
     for a in monos[:4]:
         for b in monos[4:8]:
             for c in monos[8:]:
-                ab = alg.mult_mono(a, b)
-                left = alg.multiply(ab, {c: 1})
-                bc = alg.mult_mono(b, c)
-                right = alg.multiply({a: 1}, bc)
+                left = _mult_sum(alg, ((x, m, c) for m, x
+                                       in alg.mult_mono(a, b).items()))
+                right = _mult_sum(alg, ((x, a, m) for m, x
+                                        in alg.mult_mono(b, c).items()))
                 assert left == right
 
 
@@ -68,8 +78,8 @@ def test_commutator_reproduces_bracket(label, p, J):
         ea = tuple(1 if i == a else 0 for i in range(alg.n))
         eb = tuple(1 if i == b else 0 for i in range(alg.n))
         ek = tuple(1 if i == k else 0 for i in range(alg.n))
-        comm = alg.multiply({ea: 1}, {eb: 1})
-        rev = alg.multiply({eb: 1}, {ea: 1})
+        comm = alg.mult_mono(ea, eb)
+        rev = alg.mult_mono(eb, ea)
         diff = dict(comm)
         for m, v in rev.items():
             diff[m] = (diff.get(m, 0) - v) % p
@@ -272,7 +282,7 @@ def _two_pass_stages(alg, max_degree):
     elements before them, weight by weight in sorted order; then the whole
     kernel of the new differential comes from `_d_block` on every weight
     block of the new stage.  Elements are int-keyed, as `_d_block` reads
-    and returns them; x_gamma k is formed by the tuple view `mult_gen`,
+    and returns them; x_gamma k is formed by the tuple view `mult_mono`,
     and the monomial weights and weight blocks are listed here, not by
     `by_weight` and `_block`."""
     res = MinimalResolution.__new__(MinimalResolution)
@@ -282,6 +292,8 @@ def _two_pass_stages(alg, max_degree):
     # the weight of each monomial by index, sum a_gamma * gamma
     weights = [tuple(sum(a * f[t] for a, f in zip(m, alg.root_weights))
                      for t in range(alg.rs.rank)) for m in alg.monomials]
+    # the exponent tuple of each generator x_gamma
+    units = [tuple(int(k == g) for k in range(alg.n)) for g in range(alg.n)]
     kernel = [{i: 1} for i in range(1, dim)]
     for degree in range(1, max_degree + 1):
         prev = res.stages[-1].gen_weights
@@ -290,11 +302,11 @@ def _two_pass_stages(alg, max_degree):
             s0, i0 = divmod(next(iter(elem)), dim)
             wt = tuple(a + b for a, b in zip(prev[s0], weights[i0]))
             ker_by_wt.setdefault(wt, []).append(elem)
-            for g, gf in enumerate(alg.root_weights):
+            for gf, e_g in zip(alg.root_weights, units):
                 moved = {}
                 for key, c in elem.items():
                     s, i = divmod(key, dim)
-                    for m2, c2 in alg.mult_gen(g, alg.monomials[i]).items():
+                    for m2, c2 in alg.mult_mono(e_g, alg.monomials[i]).items():
                         k2 = s * dim + alg.mono_index(m2)
                         moved[k2] = moved.get(k2, 0) + c * c2
                 gwt = tuple(a + b for a, b in zip(wt, gf))
