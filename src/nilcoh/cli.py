@@ -6,6 +6,12 @@ its own) declares only the flags it reads, listed in COMMANDS; any
 other flag is a usage error.  Exit codes: 0 success, 2 usage error,
 precondition or gate failure (the violated condition or flag is named on
 stderr), 1 internal error or a stdout closed early by its reader.
+
+`python -m nilcoh.cli` and the `nilcoh` script enter through `run`, which
+ends the process as soon as the payload is flushed and skips interpreter
+teardown: nilcoh registers no atexit handler, starts no thread and holds
+no open file once `main` returns, so teardown would only free memory.
+In-process callers use `main`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -131,10 +137,8 @@ FLAG_SPECS = {
     "l": dict(type=int, help="quantum root-of-unity order"),
     "J": dict(default="", help="comma-separated 0-based simple root indices"),
     "lambda": dict(dest="lam", help="weight in fundamental coordinates,"
-                   " comma-separated; alcove and linkage require it, the"
-                   " other commands default to the zero weight; write a"
-                   " weight that starts with a minus sign as"
-                   " --lambda=-1,0"),
+                   " comma-separated, e.g. -1,0; alcove and linkage require"
+                   " it, the other commands default to the zero weight"),
     "max-degree": dict(type=int, default=4, help="top cohomological degree"),
     "unsafe": dict(action="store_true",
                    help="compute formal models below the stated bounds"),
@@ -207,7 +211,8 @@ def _mode_modulus(args, rs):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that, on a command that only groups subcommands
     (`nilcoh` itself and `verify`), rejects a flag given before the
-    subcommand name with a message saying that flags go after it."""
+    subcommand name with a message saying that flags go after it, and that
+    reads `--lambda -1,0` as `--lambda=-1,0`."""
 
     subcommands = None
 
@@ -217,6 +222,14 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
+        # argparse takes a value such as -1,0 for a flag, not for the value
+        # of --lambda (or of an abbreviation such as --lam); joined as
+        # --lambda=-1,0 it is read as the value
+        for i in range(len(args) - 1, 0, -1):
+            flag = args[i - 1]
+            if (len(flag) > 3 and "--lambda".startswith(flag)
+                    and re.match(r"-\d", args[i])):
+                args[i - 1:i + 1] = [f"{flag}={args[i]}"]
         sub = self.subcommands
         if (sub is not None and args and args[0].startswith("-")
                 and args[0] not in ("-h", "--help")):
@@ -227,7 +240,11 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser for the command line `argv`.  Every command and search is
+    registered, so that help and usage errors list them all, but only the
+    one that `argv` names declares its flags."""
+    invoked = " ".join(argv[:2] if "verify" in argv[:1] else argv[:1])
     ap = _Parser(
         prog="nilcoh",
         description="Exact cohomology computations for nilpotent radicals,"
@@ -238,7 +255,7 @@ def build_parser():
         sp = groups[group].add_parser(name, help=text)
         if flags is None:
             groups[command] = sp.add_subparsers(dest="search", required=True)
-        else:
+        elif command == invoked:
             _add_common(sp, flags)
     return ap
 
@@ -394,7 +411,8 @@ def _run(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         payload = _run(args)
     except (PreconditionError, OracleBudgetError, BudgetError,
@@ -413,5 +431,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """Process entry point: run `main` on sys.argv, flush the payload and
+    exit at once, without interpreter teardown.  An exception that leaves
+    `main` (a usage error's SystemExit, an interrupt) or a failed flush
+    takes the interpreter's usual exit path."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

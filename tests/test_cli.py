@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -260,6 +261,16 @@ def test_exit_code_2_on_kostant_non_dominant_lambda(capsys, argv):
                         "lambda must be dominant")
 
 
+@pytest.mark.parametrize("argv,code", (
+    (("alcove", "--type", "A2", "--p", "5"), 0),
+    (("kostant", "--type", "A2"), 2)), ids=("alcove", "kostant"))
+def test_lambda_with_leading_minus_needs_no_equals_sign(capsys, argv, code):
+    """`--lambda -1,0` used to exit 2 with `expected one argument`."""
+    spaced = run_cli(capsys, *argv, "--lambda", "-1,0")
+    assert spaced == run_cli(capsys, *argv, "--lambda=-1,0")
+    assert spaced[0] == code
+
+
 def test_exit_code_2_on_kostant_group_too_large(capsys):
     _assert_input_error(capsys, ("kostant", "--type", "E8", "--p", "31",
                                  "--lambda", "0,0,0,0,0,0,0,0"),
@@ -415,6 +426,82 @@ def test_closed_stdout_prints_no_traceback(tmp_path):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_help_lists_every_command_and_exactly_its_flags(capsys):
+    def help_text(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-h"])
+        assert exc.value.code == 0, argv
+        return capsys.readouterr().out
+
+    def choices(text):
+        return re.search(r"\{([\w,-]+)\}", text).group(1).split(",")
+
+    commands = [c for c in COMMANDS if " " not in c]
+    assert len(commands) == 12 and choices(help_text()) == commands
+    searches = [c.split()[1] for c in COMMANDS if c.startswith("verify ")]
+    assert len(searches) == 4 and choices(help_text("verify")) == searches
+    for command, (_, flags) in COMMANDS.items():
+        if flags is None:
+            continue
+        listed = set(re.findall(r"--[\w-]+", help_text(*command.split())))
+        assert listed - {"--help"} == {
+            "--type", "--format", *(f"--{flag}" for flag in flags)}, command
+
+
+# -- the process entry point -------------------------------------------
+
+
+def _entry_env(tmp_path):
+    """`_subprocess_env` without PYTHONUNBUFFERED, under which every write
+    reaches the file at once and a missing flush would not show."""
+    env = _subprocess_env(tmp_path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_entry_point_writes_the_whole_payload(capsys, tmp_path):
+    """`python -m nilcoh.cli` exits without interpreter teardown, which
+    would flush what stdout still buffers; the 163,471-byte payload is
+    larger than any stdio buffer."""
+    argv = ["ring-table", "--type", "B3", "--p", "11"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    path = tmp_path / "payload.json"
+    with open(path, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "nilcoh.cli", *argv],
+                              env=_entry_env(tmp_path), stdout=out,
+                              stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(expected) == 163471
+    assert path.read_bytes() == expected
+
+
+def test_entry_point_exits_2_on_composite_p(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "nilcoh.cli", "ext",
+                           "--type", "A2", "--p", "4"],
+                          env=_entry_env(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "needs a prime p, got 4" in proc.stderr
+
+
+def test_entry_point_skips_interpreter_teardown(tmp_path):
+    """An atexit handler registered before `python -m nilcoh.cli` starts
+    does not run: the process ends with os._exit."""
+    script = ("import atexit, os, runpy, sys\n"
+              "atexit.register(os.write, 2, b'teardown ran')\n"
+              "sys.argv[1:] = ['rootsys', '--type', 'A2']\n"
+              "runpy.run_module('nilcoh.cli', run_name='__main__',"
+              " alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_entry_env(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["config"]["command"] == "rootsys"
+    assert "teardown ran" not in proc.stderr
 
 
 def test_kostant_recovers_from_damaged_cache(capsys, tmp_path, monkeypatch):

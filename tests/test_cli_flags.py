@@ -104,7 +104,7 @@ def test_pair_counts():
 
 @pytest.mark.parametrize("command", sorted(READS))
 def test_command_declares_exactly_the_flags_it_reads(command):
-    parser = build_parser()
+    parser = build_parser(_argv(command))
     args = parser.parse_args(_argv(command))
     assert args.type == "B2"
     for flag, (_, value, default) in VALUES.items():
@@ -117,6 +117,16 @@ def test_command_declares_exactly_the_flags_it_reads(command):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(_argv(command, flag))
             assert exc.value.code == 2, flag
+
+
+@pytest.mark.parametrize("spelling", ("--lambda", "--lam"))
+@pytest.mark.parametrize("command", sorted(
+    command for command, flags in READS.items() if "--lambda" in flags))
+def test_lambda_takes_a_value_with_a_leading_minus(command, spelling):
+    """argparse takes `-1,0` for a flag; `--lambda -1,0` used to exit 2 with
+    `expected one argument`."""
+    argv = [*_argv(command), spelling, "-1,0"]
+    assert build_parser(argv).parse_args(argv).lam == "-1,0"
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -204,7 +214,7 @@ def _readme_examples():
 
 @pytest.mark.parametrize("job", _benchmark_jobs(), ids=lambda job: job.id)
 def test_benchmark_job_parses(job):
-    args = build_parser().parse_args(list(job.argv))
+    args = build_parser(list(job.argv)).parse_args(list(job.argv))
     assert args.type == job.cartan_type
 
 
@@ -212,4 +222,4 @@ def test_readme_cli_examples_parse():
     examples = _readme_examples()
     assert len(examples) >= 8
     for argv in examples:
-        build_parser().parse_args(argv)
+        build_parser(argv).parse_args(argv)

@@ -10,6 +10,9 @@ The guard is a floor, not a proof.  It matches names, not bindings, so a
 method whose name another class shares (`multiply` on WeylGroup, `one`
 on CycScalar) or that coincides with an attribute (`label`) counts as
 read, and a function that only calls itself counts as read too.
+
+A second guard keeps the package free of the modules that leave work for
+interpreter teardown, which the process entry point skips.
 """
 
 import ast
@@ -80,3 +83,39 @@ def test_every_source_name_is_read_in_src():
     unread = {name for name in defined - read if not _is_dunder(name)}
     assert unread == set(UNREAD_IN_SRC)
 
+
+
+# Modules that can leave work for interpreter teardown: atexit handlers,
+# threads to join, temporary files to remove, log handlers to flush,
+# worker processes to stop.  `nilcoh.cli.run` ends the process with
+# os._exit, which skips all of it.
+TEARDOWN_MODULES = {"atexit", "threading", "tempfile", "logging",
+                    "multiprocessing", "concurrent"}
+
+
+def _teardown_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        for name in names:
+            if (name.partition(".")[0] in TEARDOWN_MODULES
+                    or name == "weakref.finalize"):
+                yield node.lineno, name
+
+
+def test_no_module_leaves_work_for_interpreter_teardown():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _teardown_uses(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, (
+        "nilcoh.cli.run ends the process with os._exit and skips"
+        " interpreter teardown; recheck that exit path before using "
+        + ", ".join(found))
