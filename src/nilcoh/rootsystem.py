@@ -4,7 +4,11 @@ Weights are tuples of integers in fundamental-weight coordinates.
 Roots are tuples of integers in simple-root coordinates.  Nothing here
 ever touches a float.  Root <-> weight conversions of roots and coroot
 pairings are integer table lookups built once per root system; only
-`fund_to_root` of an arbitrary weight needs exact rationals.
+`fund_to_root` of an arbitrary weight needs exact rationals, and it
+loads `linalg` (and with it `fractions`) the first time it is called, so
+a caller that needs only roots and the Weyl group never loads either.
+A simple reflection s_i mu = mu - mu_i alpha_i reads only the nonzero
+entries of alpha_i in fundamental coordinates (at most four).
 
 The positive roots carry a fixed "convex" enumeration gamma_1 < ... < gamma_N
 induced by a reduced expression of the longest Weyl element (chosen
@@ -14,11 +18,11 @@ pins down every sign and zeta-exponent convention used elsewhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .linalg import echelon
+MAX_RANK = 8
+
 
 class UnsupportedTypeError(ValueError):
     pass
@@ -26,6 +30,9 @@ class UnsupportedTypeError(ValueError):
 
 def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
     """Cartan matrix a[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering)."""
+    if n > MAX_RANK:
+        raise UnsupportedTypeError(
+            f"unsupported Cartan type {letter}{n}: rank is at most {MAX_RANK}")
     if letter == "A" and n >= 1:
         a = _chain(n)
     elif letter == "B" and n >= 2:
@@ -68,10 +75,14 @@ def _chain(n: int) -> list[list[int]]:
 
 
 def _symmetrizers(a: list[list[int]]) -> list[int]:
-    """Positive integers d_i with d_i a_ij symmetric, short roots of length 2."""
+    """Positive integers d_i with d_i a_ij symmetric, short roots of length 2.
+
+    Root-length ratios are 1, 2 or 3, so from d_0 = 6 every d_j =
+    d_i a_ij / a_ji is an exact integer; dividing by the least gives
+    min d = 1."""
     n = len(a)
     d: list[int | None] = [None] * n
-    d[0] = 1
+    d[0] = 6
     changed = True
     while changed:
         changed = False
@@ -80,19 +91,12 @@ def _symmetrizers(a: list[list[int]]) -> list[int]:
                 if i != j and a[i][j] != 0:
                     # d_i a_ij = d_j a_ji
                     if d[i] is not None and d[j] is None:
-                        val = Fraction(d[i] * a[i][j], a[j][i])
-                        assert val.denominator in (1, 2, 3)
-                        d[j] = val
+                        d[j], r = divmod(d[i] * a[i][j], a[j][i])
+                        assert r == 0
                         changed = True
-    # clear denominators, normalize min to 1
-    denom = 1
-    for x in d:
-        assert x is not None
-        denom = max(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in d]
-    g = min(ints)
-    assert all(v % g == 0 for v in ints)
-    return [v // g for v in ints]
+    g = min(d)
+    assert all(v % g == 0 for v in d)
+    return [v // g for v in d]
 
 
 class RootSystem:
@@ -107,6 +111,10 @@ class RootSystem:
         self.d = tuple(_symmetrizers([list(r) for r in self.cartan]))
         # alpha_i in fundamental coordinates: column i of the Cartan matrix
         self._simple_fund = tuple(zip(*self.cartan))
+        # its nonzero entries (k, a_ki), read by `reflect` and `weyl`
+        self.simple_support = tuple(
+            tuple((k, a) for k, a in enumerate(col) if a)
+            for col in self._simple_fund)
         self._all_roots = self._reflection_closure()
         self.rho = (1,) * rank
         self.positive_roots = self._convex_order()
@@ -206,6 +214,7 @@ class RootSystem:
     def _cartan_inverse(self) -> tuple:
         inv = getattr(self, "_cartan_inv_cache", None)
         if inv is None:
+            from .linalg import echelon  # only fund_to_root needs Q
             n = self.rank
             aug = [list(row) + [1 if i == j else 0 for j in range(n)]
                    for i, row in enumerate(self.cartan)]
@@ -256,7 +265,10 @@ class RootSystem:
     def reflect(self, mu: tuple, i: int) -> tuple:
         """s_i mu = mu - <mu, alpha_i^vee> alpha_i, in fundamental coordinates."""
         c = mu[i]
-        return tuple(m - c * a for m, a in zip(mu, self._simple_fund[i]))
+        out = list(mu)
+        for k, a in self.simple_support[i]:
+            out[k] -= c * a
+        return tuple(out)
 
     def fundamental_weight(self, i: int) -> tuple:
         return tuple(1 if k == i else 0 for k in range(self.rank))

@@ -6,10 +6,13 @@ on word choice.  Every group, enumerated or loaded, is built by
 `_from_words` from one reduced word per element.  Breadth-first search
 finds the words with each w keyed by w^-1 rho: (w s_i)^-1 rho =
 s_i (w^-1 rho), and w s_i > w iff (w^-1 rho)_i > 0 (W. Casselman,
-"Machine calculations in Weyl groups", Invent. Math. 116, 1994).
+"Machine calculations in Weyl groups", Invent. Math. 116, 1994).  Both
+steps, v -> s_i v and m -> m s_i, change only what the nonzero entries
+of alpha_i (`RootSystem.simple_support`, at most four) touch.
 
-All of the Weyl layer is integer arithmetic, read off the image w rho of
-the dominant weight rho (fundamental coordinates):
+All of the Weyl layer is integer arithmetic (importing it loads neither
+`fractions` nor `linalg`), read off the image w rho of the dominant
+weight rho (fundamental coordinates):
 
 - inversion set: Phi(w) = w Phi^- cap Phi^+ = {beta > 0 : <w rho, beta^vee> < 0};
 - minimal coset representatives: w in ^JW  <=>  (w rho)_i > 0 for all i in J
@@ -21,7 +24,7 @@ positive roots, filled the first time an element's set is asked for.
 Enumerations are cached on disk as their words, one file per Cartan type,
 in the directory NILCOH_CACHE (default ./.nilcoh-cache).  Loading rebuilds
 the group through `_from_words`; a file it refuses is ignored and the
-group is recomputed.
+group is recomputed.  A failed write leaves no temp file behind.
 """
 
 from __future__ import annotations
@@ -93,10 +96,16 @@ def _mat_mul(a: tuple, b: tuple) -> tuple:
 
 def _times_simple(m: tuple, i: int, rs: RootSystem) -> tuple:
     """m * s_i.  s_i (`RootSystem.reflect`) differs from the identity only
-    in column i, which is e_i - alpha_i."""
-    col = rs.simple_root_fund(i)
-    return tuple(row[:i] + (row[i] - sum(map(mul, row, col)),) + row[i + 1:]
-                 for row in m)
+    in column i, which is e_i - alpha_i, so only column i of m changes, by
+    the entries of m at the support of alpha_i."""
+    support = rs.simple_support[i]
+    out = []
+    for row in m:
+        new = list(row)
+        for k, a in support:
+            new[i] -= row[k] * a
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -273,15 +282,18 @@ def _load_cache(rs: RootSystem) -> WeylGroup | None:
 
 def _store_cache(rs: RootSystem, group: WeylGroup) -> None:
     path = _cache_file(rs)
+    payload = {"label": rs.label, "cartan": [list(r) for r in rs.cartan],
+               "elements": [{"word": list(w.word)} for w in group.elements]}
+    # write a sibling temp file and rename it, so a reader never sees a
+    # half-written cache
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"label": rs.label, "cartan": [list(r) for r in rs.cartan],
-                   "elements": [{"word": list(w.word)}
-                                for w in group.elements]}
-        # write a sibling temp file and rename it, so a reader never sees
-        # a half-written cache
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(payload))
         os.replace(tmp, path)
     except OSError:
-        pass  # cache is best-effort
+        # the cache is best-effort, but a failed write removes its temp file
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:  # e.g. NILCOH_CACHE names a regular file
+            pass

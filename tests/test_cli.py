@@ -199,6 +199,16 @@ def test_exit_code_2_on_unknown_type(capsys):
                         "unsupported Cartan type Z9")
 
 
+@pytest.mark.parametrize("label", ("A9", "B9", "C9", "D9"))
+@pytest.mark.parametrize("argv", (("rootsys",), ("ext", "--p", "5"),
+                                  ("quantum", "--l", "5")),
+                         ids=("rootsys", "ext", "quantum"))
+def test_exit_code_2_on_rank_above_8(capsys, label, argv):
+    """The README's rank bound is checked before any Cartan data is built."""
+    _assert_input_error(capsys, (argv[0], "--type", label, *argv[1:]),
+                        f"unsupported Cartan type {label}: rank is at most 8")
+
+
 def test_exit_code_2_on_non_integer_lambda(capsys):
     _assert_input_error(capsys, ("kostant", "--type", "A2", "--p", "5",
                                  "--lambda", "1,x"),
@@ -401,12 +411,14 @@ def _loaded_by(statement, tmp_path) -> set:
 
 def test_import_footprint(tmp_path):
     """The package init loads no submodule, so a caller that needs only
-    root systems and Weyl groups pays for those (and `linalg`, which
-    inverts the Cartan matrix); the CLI loads every module it dispatches
-    to, but not `dataclasses` or `csv`."""
+    root systems and Weyl groups pays for those two alone: `linalg`, and
+    with it `fractions`, is loaded only when `fund_to_root` first inverts
+    the Cartan matrix.  The CLI loads every module it dispatches to, but
+    not `dataclasses` or `csv`."""
     weyl_only = _loaded_by("import nilcoh.rootsystem, nilcoh.weyl", tmp_path)
     assert {m for m in weyl_only if m.startswith("nilcoh")} == {
-        "nilcoh", "nilcoh.linalg", "nilcoh.rootsystem", "nilcoh.weyl"}
+        "nilcoh", "nilcoh.rootsystem", "nilcoh.weyl"}
+    assert not {"fractions", "decimal", "numbers"} & weyl_only
     cli = _loaded_by("import nilcoh.cli", tmp_path)
     assert not {"dataclasses", "csv"} & cli
     assert {f"nilcoh.{m}" for m in (

@@ -1,8 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcoh.rootsystem import build
+from nilcoh.weyl import _mat_mul, _times_simple
+
+SUPPORTED = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
 
 
 def test_cartan_matrices_basic():
@@ -79,10 +86,7 @@ def test_fund_root_roundtrip():
 
 
 def test_cartan_inverse_every_supported_type():
-    labels = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
-              + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
-              + ["E6", "E7", "E8", "F4", "G2"])
-    for label in labels:
+    for label in SUPPORTED:
         rs = build(label)
         n = rs.rank
         inv = rs._cartan_inverse
@@ -150,3 +154,47 @@ def test_levi_w0_word():
             word = rs._w0_word(J)
             assert set(word) <= set(J)
             assert len(word) == len(rs.phi_j_plus(J))
+
+
+def _symmetrizers_of(label):
+    """The symmetrizers d as the rational computation gave them."""
+    letter, n = label[0], int(label[1:])
+    if letter == "B":
+        return (2,) * (n - 1) + (1,)
+    if letter == "C":
+        return (1,) * (n - 1) + (2,)
+    return {"F4": (2, 2, 1, 1), "G2": (1, 3)}.get(label, (1,) * n)
+
+
+def test_symmetrizers_every_supported_type():
+    for label in SUPPORTED:
+        rs = build(label)
+        assert rs.d == _symmetrizers_of(label), label
+        assert min(rs.d) == 1
+        n = rs.rank
+        assert all(rs.d[i] * rs.cartan[i][j] == rs.d[j] * rs.cartan[j][i]
+                   for i in range(n) for j in range(n)), label
+
+
+def _dense_simple_reflection(rs, i):
+    """s_i on fundamental coordinates: (s_i mu)_k = mu_k - mu_i a_ki."""
+    n = rs.rank
+    return tuple(tuple(int(k == j) - (j == i) * rs.cartan[k][i]
+                       for j in range(n)) for k in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SUPPORTED), st.data())
+def test_support_steps_match_dense_reflections(label, data):
+    """`reflect` and `_times_simple` read only the support of alpha_i; the
+    dense column i of the Cartan matrix is the reference."""
+    rs = build(label)
+    n = rs.rank
+    ints = st.integers(-50, 50)
+    i = data.draw(st.integers(0, n - 1))
+    mu = data.draw(st.tuples(*[ints] * n))
+    col = [row[i] for row in rs.cartan]
+    assert rs.reflect(mu, i) == tuple(m - mu[i] * a for m, a in zip(mu, col))
+    m = data.draw(st.tuples(*[st.tuples(*[ints] * n)] * n))
+    assert _times_simple(m, i, rs) == _mat_mul(
+        m, _dense_simple_reflection(rs, i))

@@ -1,11 +1,17 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nilcoh import weyl
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_group_orders():
@@ -238,6 +244,31 @@ def test_damaged_cache_truncated_file_is_recomputed(tmp_path, monkeypatch):
 def test_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
     _cached_group(tmp_path, monkeypatch, "B3")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["weyl-B3.json"]
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path):
+    """A directory where the cache file belongs makes every write fail; the
+    group is still right, and no `weyl-B2.json.<pid>.tmp` stays behind."""
+    (tmp_path / "weyl-B2.json").mkdir()
+    env = dict(os.environ, NILCOH_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = ("from nilcoh.rootsystem import build\n"
+              "from nilcoh.weyl import enumerate_group\n"
+              "print(enumerate_group(build('B2')).order)\n")
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "8\n", proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["weyl-B2.json"]
+
+
+def test_cache_dir_that_is_a_file_is_ignored(tmp_path, monkeypatch):
+    """Removing the temp file of a failed write may fail too."""
+    (tmp_path / "cache").write_text("")
+    monkeypatch.setenv("NILCOH_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    assert enumerate_group(build("B2")).order == 8
 
 
 def _elements(g):
