@@ -46,9 +46,41 @@ class RegimeError(PreconditionError):
         self.bound = bound
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# PRIME_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact for 0 <= n < PRIME_BOUND."""
+    if n < 2:
+        return False
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def require_prime(p, what: str) -> None:
     """F_p elimination divides by each pivot, which needs p prime."""
-    if p is None or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if p is not None and p >= PRIME_BOUND:
+        raise PreconditionError(
+            f"{what} needs a prime p below {PRIME_BOUND}, where primality is"
+            f" decided exactly; got {p}")
+    if p is None or not _is_prime(p):
         raise PreconditionError(f"{what} needs a prime p, got {p}")
 
 

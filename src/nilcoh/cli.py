@@ -12,11 +12,20 @@ ends the process as soon as the payload is flushed and skips interpreter
 teardown: nilcoh registers no atexit handler, starts no thread and holds
 no open file once `main` returns, so teardown would only free memory.
 In-process callers use `main`, which returns the exit code.
+
+Importing this module executes only the modules that every command reads
+(`alcoves`, `rootsystem`, `weyl`).  The others are registered in
+sys.modules by `_lazy` and executed on a command's first use of them, so
+`ring-table` never compiles the Ext resolution and the `verify` searches
+never execute `koszul` or `restricted`.  `_run` calls them through the
+module (`restricted.ext_dims(...)`), so a rebinding of the module
+attribute is what gets called.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -25,17 +34,29 @@ import sys
 
 from .alcoves import (PreconditionError, admissibility, in_alcove,
                       require_regime, weak_linkage)
-from .characters import format_poincare
-from .kostant import (frobenius_kernel_character, kostant_decomposition,
-                      parabolic_character, t1_invariants)
-from .koszul import OracleBudgetError, oracle_cohomology
-from .restricted import (BudgetError, build_algebra, certificate, ext_dims,
-                         find_class_by_weight, square_certificate)
-from .ring import CohomologyRing, check_ring_laws
 from .rootsystem import UnsupportedTypeError, build
-from .verify import (consistency_suite, search_dot_collisions,
-                     search_levi_weights, search_sum_dot)
 from .weyl import GroupTooLargeError, enumerate_group
+
+
+def _lazy(name: str):
+    """nilcoh.<name>, registered in sys.modules (and as an attribute of the
+    package) at once, but executed on its first attribute access.  An entry
+    already in sys.modules is returned as it is, so each class exists once."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the modules that only some commands read
+characters, kostant, koszul, restricted, ring, verify = map(_lazy, (
+    "characters", "kostant", "koszul", "restricted", "ring", "verify"))
 
 FORMATS = ("json", "csv", "tex", "text")
 
@@ -310,11 +331,11 @@ def _run(args) -> dict:
         else:
             mode, modulus = _mode_modulus(args, rs)
         lam = _parse_lambda(args, rs.rank)
-        kd = kostant_decomposition(lam, J, rs, enumerate_group(rs), mode,
-                                   modulus)
+        kd = kostant.kostant_decomposition(lam, J, rs, enumerate_group(rs),
+                                           mode, modulus)
         out = kd.to_json()
         out["dims"] = kd.poincare()
-        out["poincare"] = format_poincare(out["dims"])
+        out["poincare"] = characters.format_poincare(out["dims"])
         return out
 
     if cmd in ("character", "t1-invariants"):
@@ -322,30 +343,30 @@ def _run(args) -> dict:
         lam = _parse_lambda(args, rs.rank)
         group = enumerate_group(rs)
         if cmd == "t1-invariants":
-            gc = t1_invariants(lam, modulus, rs, group)
+            gc = kostant.t1_invariants(lam, modulus, rs, group)
             return {"lambda": list(lam), "degrees": gc.to_json(),
                     "dims": gc.dims()}
         if args.which == "frobenius":
-            bg = frobenius_kernel_character(lam, J, rs, group, mode, modulus,
-                                            args.max_degree)
+            bg = kostant.frobenius_kernel_character(lam, J, rs, group, mode,
+                                                    modulus, args.max_degree)
             out = bg.to_json()
             out["collapsed"] = bg.collapse().to_json()
             return out
-        gc = parabolic_character(lam, J, rs, group, mode, modulus,
-                                 args.max_degree)
+        gc = kostant.parabolic_character(lam, J, rs, group, mode, modulus,
+                                         args.max_degree)
         return {"lambda": list(lam), "J": list(J),
                 "degrees": gc.to_json(), "dims": gc.dims()}
 
     if cmd == "ring-table":
         mode, modulus = _mode_modulus(args, rs)
-        ring = CohomologyRing(rs, enumerate_group(rs), J, "classical"
-                              if mode == "modular" else mode, modulus,
-                              unsafe=args.unsafe)
+        cr = ring.CohomologyRing(rs, enumerate_group(rs), J, "classical"
+                                 if mode == "modular" else mode, modulus,
+                                 unsafe=args.unsafe)
         return {
-            "metadata": ring.metadata(),
-            "laws": check_ring_laws(ring),
+            "metadata": cr.metadata(),
+            "laws": ring.check_ring_laws(cr),
             "columns": ["w", "w_prime", "result", "sign", "zeta_exponent"],
-            "rows": [list(r) for r in ring.table_rows()],
+            "rows": [list(r) for r in cr.table_rows()],
         }
 
     if cmd == "quantum":
@@ -361,7 +382,7 @@ def _run(args) -> dict:
 
     if cmd == "oracle-koszul":
         p = args.p if args.field == "Fp" else None
-        gc = oracle_cohomology(J, rs, field=args.field, p=p)
+        gc = koszul.oracle_cohomology(J, rs, field=args.field, p=p)
         return {"J": list(J), "field": args.field, "p": p,
                 "dims": gc.dims(), "degrees": gc.to_json()}
 
@@ -374,38 +395,38 @@ def _run(args) -> dict:
             raise PreconditionError(
                 "--check-square needs --max-degree >= 4 (the square of a"
                 " degree-2 class lies in degree 4)")
-        alg = build_algebra(J, args.p, rs)
-        gc, res = ext_dims(alg, args.max_degree)
+        alg = restricted.build_algebra(J, args.p, rs)
+        gc, res = restricted.ext_dims(alg, args.max_degree)
         example = None
         if args.check_square:
             group = enumerate_group(rs)
             sb_sa = group.multiply(group.simple[1], group.simple[0])
             wt = sb_sa.dot((0,) * rs.rank, rs)
-            found = len(find_class_by_weight(res, 2, wt))
+            found = len(restricted.find_class_by_weight(res, 2, wt))
             if found != 1:
                 raise PreconditionError(
                     "--check-square needs the Ext^2 weight space at"
                     f" s2 s1 . 0 = {list(wt)} to be one-dimensional, found"
                     f" {found} classes")
-            example = square_certificate(res, 2, wt)
-        return certificate(res, example)
+            example = restricted.square_certificate(res, 2, wt)
+        return restricted.certificate(res, example)
 
     if cmd == "verify":
         mode, modulus = _mode_modulus(args, rs)
         group = enumerate_group(rs)
         if args.search == "sum-dot":
-            _, cert = search_sum_dot(rs, group, modulus)
+            _, cert = verify.search_sum_dot(rs, group, modulus)
             return cert
         if args.search == "levi-weights":
-            _, cert = search_levi_weights(rs, group, J, modulus)
+            _, cert = verify.search_levi_weights(rs, group, J, modulus)
             return cert
         if args.search == "dot-collisions":
             lam = _parse_lambda(args, rs.rank)
-            _, cert = search_dot_collisions(rs, group, lam, modulus,
-                                            args.domain,
-                                            quantum=args.l is not None)
+            _, cert = verify.search_dot_collisions(
+                rs, group, lam, modulus, args.domain,
+                quantum=args.l is not None)
             return cert
-        return consistency_suite(rs, group, modulus)
+        return verify.consistency_suite(rs, group, modulus)
 
     raise RuntimeError(f"unhandled command {cmd!r}")
 
@@ -415,8 +436,11 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         payload = _run(args)
-    except (PreconditionError, OracleBudgetError, BudgetError,
-            GroupTooLargeError) as exc:
+    except (PreconditionError, GroupTooLargeError) as exc:
+        print(f"precondition failed: {exc}", file=sys.stderr)
+        return 2
+    except (koszul.OracleBudgetError, restricted.BudgetError) as exc:
+        # a clause of its own: naming these classes executes their modules
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

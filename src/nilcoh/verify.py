@@ -21,10 +21,6 @@ from . import __version__ as TOOL_VERSION
 from .alcoves import (PreconditionError, RegimeError, admissibility,
                       require_prime, require_regime)
 from .characters import levi_simple_character
-from .kostant import frobenius_kernel_character, kostant_decomposition
-from .koszul import cochain_cup, oracle_cohomology
-from .restricted import BudgetError, build_algebra, ext_dims
-from .ring import nil_product
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
 
@@ -156,6 +152,13 @@ def search_dot_collisions(rs: RootSystem, group: WeylGroup, lam: tuple,
 
 def consistency_suite(rs: RootSystem, group: WeylGroup, p: int) -> dict:
     """Cross-module checks at one (type, modulus); pass/fail with diffs."""
+    # imported here, their one reader, so that the searches never execute
+    # the modules the suite compares
+    from .kostant import frobenius_kernel_character, kostant_decomposition
+    from .koszul import cochain_cup, oracle_cohomology
+    from .restricted import BudgetError, build_algebra, ext_dims
+    from .ring import nil_product
+
     require_prime(p, "the consistency suite")
     t0 = time.time()
     report = {"type": rs.label, "modulus": p, "checks": [], "pass": True}

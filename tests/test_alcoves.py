@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
-from nilcoh.alcoves import (PreconditionError, RegimeError, admissibility,
-                            in_alcove, require_admissible, require_regime,
-                            weak_linkage)
+from nilcoh.alcoves import (PRIME_BOUND, PreconditionError, RegimeError,
+                            admissibility, in_alcove, require_admissible,
+                            require_prime, require_regime, weak_linkage)
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
@@ -122,3 +124,37 @@ def test_require_regime_bounds():
     require_regime("classical", None, b2, "ring")
     with pytest.raises(ValueError, match="unknown mode"):
         require_regime("p-adic", 7, b2)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _passes_require_prime(n):
+    try:
+        require_prime(n, "test")
+    except PreconditionError:
+        return False
+    return True
+
+
+def test_require_prime_agrees_with_trial_division_below_1e5():
+    assert all(_passes_require_prime(n) == _prime_by_trial_division(n)
+               for n in range(-2, 10**5))
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2**61 - 1, True), (10**15 + 37, True),
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    (3215031751, False), (2**61 + 1, False),
+    # the largest prime below PRIME_BOUND
+    (3317044064679887385961813, True),
+    ((10**12 + 39) * (10**12 + 61), False),
+])
+def test_require_prime_on_large_moduli(n, prime):
+    assert _passes_require_prime(n) == prime
+
+
+def test_require_prime_names_the_bound_of_exactness():
+    with pytest.raises(PreconditionError, match=f"below {PRIME_BOUND}"):
+        require_prime(PRIME_BOUND + 2, "test")

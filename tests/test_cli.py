@@ -409,21 +409,86 @@ def _loaded_by(statement, tmp_path) -> set:
     return set(proc.stdout.split())
 
 
+# the modules that importing the CLI executes, and those it only registers
+CORE = {"cli", "alcoves", "rootsystem", "weyl"}
+LAZY = ("characters", "kostant", "koszul", "restricted", "ring", "verify")
+
+
 def test_import_footprint(tmp_path):
     """The package init loads no submodule, so a caller that needs only
     root systems and Weyl groups pays for those two alone: `linalg`, and
     with it `fractions`, is loaded only when `fund_to_root` first inverts
-    the Cartan matrix.  The CLI loads every module it dispatches to, but
-    not `dataclasses` or `csv`."""
+    the Cartan matrix.  Importing the CLI puts every command's modules in
+    sys.modules but executes only those that every command reads, and
+    loads neither `dataclasses` nor `csv`."""
     weyl_only = _loaded_by("import nilcoh.rootsystem, nilcoh.weyl", tmp_path)
     assert {m for m in weyl_only if m.startswith("nilcoh")} == {
         "nilcoh", "nilcoh.rootsystem", "nilcoh.weyl"}
     assert not {"fractions", "decimal", "numbers"} & weyl_only
     cli = _loaded_by("import nilcoh.cli", tmp_path)
     assert not {"dataclasses", "csv"} & cli
-    assert {f"nilcoh.{m}" for m in (
-        "weyl", "verify", "koszul", "linalg", "restricted", "ring",
-        "characters", "kostant")} <= cli
+    assert {f"nilcoh.{m}" for m in LAZY} <= cli
+    assert _executed_by("import nilcoh.cli", tmp_path) == (CORE, set())
+
+
+def _executed_by(statement, tmp_path) -> tuple[set, set]:
+    """The nilcoh modules whose body has run after `statement`, and which
+    of `fractions` and `decimal` are loaded.  The CLI registers the modules
+    that only some commands read with a lazy loader, which gives a module
+    a class of its own until its first attribute access."""
+    script = ("import sys, types\n"
+              f"{statement}\n"
+              "print(*sorted(name[7:] for name, m in sys.modules.items()"
+              " if name.startswith('nilcoh.')"
+              " and type(m) is types.ModuleType))\n"
+              "print(*{'fractions', 'decimal'} & set(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_subprocess_env(tmp_path), capture_output=True,
+                          text=True, timeout=120, check=True)
+    executed, loaded = proc.stdout.splitlines()
+    return set(executed.split()), set(loaded.split())
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (("ring-table", "--type", "A3", "--l", "7"), CORE | {"ring"}),
+    (("kostant", "--type", "F4", "--J", "0,1"),
+     CORE | {"characters", "kostant"}),
+    (("verify", "sum-dot", "--type", "A3", "--p", "5"),
+     CORE | {"characters", "linalg", "verify"}),
+    (("verify", "levi-weights", "--type", "B3", "--p", "7", "--J", "0"),
+     CORE | {"characters", "linalg", "verify"}),
+    (("ext", "--type", "B2", "--p", "5", "--max-degree", "3"),
+     CORE | {"characters", "koszul", "linalg", "restricted", "ring"}),
+], ids=["ring-table", "kostant", "sum-dot", "levi-weights", "ext"])
+def test_each_command_executes_only_the_modules_it_reads(argv, executed,
+                                                         tmp_path):
+    """In a fresh process, a command runs the bodies of the modules it reads
+    and no other.  `fractions` and `decimal` come with `linalg` alone, so
+    `ring-table` and `kostant` load neither."""
+    statement = ("import contextlib, io, nilcoh.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert nilcoh.cli.main({list(argv)!r}) == 0")
+    found, loaded = _executed_by(statement, tmp_path)
+    assert found == executed
+    assert loaded == ({"fractions", "decimal"} if "linalg" in executed
+                      else set())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ext", "--type", "A3", "--p", "7"), "exceeds budget"),
+    (("oracle-koszul", "--type", "E6", "--p", "7"), "oracle supports at most"),
+], ids=["BudgetError", "OracleBudgetError"])
+def test_errors_raised_in_lazily_run_modules_exit_2(argv, message, tmp_path):
+    """`restricted.BudgetError` and `koszul.OracleBudgetError` come from
+    modules the CLI runs only on first use; `main` still maps them to
+    exit 2, with no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "nilcoh.cli", *argv],
+                          env=_entry_env(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("precondition failed: ")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_closed_stdout_prints_no_traceback(tmp_path):
@@ -498,6 +563,19 @@ def test_entry_point_exits_2_on_composite_p(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "needs a prime p, got 4" in proc.stderr
+
+
+@pytest.mark.parametrize("p, code", [
+    (2**61 - 1, 0), (3215031751, 2), (2**61 + 1, 2)])
+def test_alcove_decides_large_primes_quickly(p, code, tmp_path):
+    """Trial division to sqrt(p) would take minutes on 2^61 - 1."""
+    proc = subprocess.run([sys.executable, "-m", "nilcoh.cli", "alcove",
+                           "--type", "A2", "--p", str(p), "--lambda", "0,0"],
+                          env=_entry_env(tmp_path), capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert f"needs a prime p, got {p}" in proc.stderr
 
 
 def test_entry_point_skips_interpreter_teardown(tmp_path):

@@ -119,3 +119,58 @@ def test_no_module_leaves_work_for_interpreter_teardown():
         "nilcoh.cli.run ends the process with os._exit and skips"
         " interpreter teardown; recheck that exit path before using "
         + ", ".join(found))
+
+
+# The package modules that each of these files may import at module level.
+# `nilcoh.cli` registers every other module with its `_lazy` helper, which
+# runs a module's body only when a command first reads it; a module-level
+# import would run it in every process.
+EAGER_IMPORTS = {
+    "cli.py": {"alcoves", "rootsystem", "weyl"},
+    "verify.py": {"alcoves", "characters", "rootsystem", "weyl"},
+}
+
+
+def _package_modules(node):
+    """The nilcoh modules that an import statement executes."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name.split(".") for alias in node.names]
+        paths = [path[1:] for path in paths if path[0] == "nilcoh"]
+    elif node.level:  # `from . import x` executes x
+        paths = [(node.module or alias.name).split(".")
+                 for alias in node.names]
+    elif node.module.split(".")[0] == "nilcoh":
+        paths = [node.module.split(".")[1:] or [alias.name]
+                 for alias in node.names]
+    else:
+        return
+    for path in paths:
+        if path and (SRC / f"{path[0]}.py").exists():
+            yield path[0]
+
+
+def _module_level_imports(tree):
+    """(line, nilcoh module) of each import that runs when the module is
+    executed; function bodies are skipped."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for module in _package_modules(node):
+                yield node.lineno, module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_and_verify_import_lazily_run_modules_on_first_use():
+    found = [f"{file}:{line}: {module}"
+             for file, allowed in EAGER_IMPORTS.items()
+             for line, module in sorted(_module_level_imports(
+                 ast.parse((SRC / file).read_text(), filename=file)))
+             if module not in allowed]
+    assert not found, (
+        "module-level imports of " + ", ".join(found) + " run those modules"
+        " in every nilcoh process; reach them through nilcoh.cli._lazy (as"
+        " cli.py does) or import them inside the one function that reads"
+        " them (as verify.consistency_suite does)")

@@ -17,9 +17,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# The CLI runs most of its modules only on first use; these jobs between
+# them read every module the runner patches.
 JOBS = {
     "ring-A2-l7": ("ring-table", "--type", "A2", "--l", "7"),
     "suite-G2-p7": ("verify", "suite", "--type", "G2", "--p", "7"),
+    "kostant-F4-J01": ("kostant", "--type", "F4", "--J", "0,1"),
+    "ext-B2-p5-d3": ("ext", "--type", "B2", "--p", "5", "--max-degree", "3"),
+    "sumdot-A3-p5": ("verify", "sum-dot", "--type", "A3", "--p", "5"),
+    "oracle-B3-p7": ("oracle-koszul", "--type", "B3", "--p", "7"),
 }
 ELAPSED = re.compile(rb'"elapsed_ms": \d+')
 
