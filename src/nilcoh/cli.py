@@ -16,10 +16,11 @@ In-process callers use `main`, which returns the exit code.
 Importing this module executes only the modules that every command reads
 (`alcoves`, `rootsystem`, `weyl`).  The others are registered in
 sys.modules by `_lazy` and executed on a command's first use of them, so
-`ring-table` never compiles the Ext resolution and the `verify` searches
-never execute `koszul` or `restricted`.  `_run` calls them through the
-module (`restricted.ext_dims(...)`), so a rebinding of the module
-attribute is what gets called.
+`ring-table` never compiles the Ext resolution, `ext` and `oracle-koszul`
+never execute `ring`, and the `verify` searches never execute `koszul` or
+`restricted`.  `_run` calls them through the module
+(`restricted.ext_dims(...)`), so a rebinding of the module attribute is
+what gets called.
 """
 
 from __future__ import annotations

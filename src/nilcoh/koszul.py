@@ -6,7 +6,9 @@ forced one at a time by the Jacobi identity in a forward solve, with no
 search), assembles the Chevalley-Eilenberg cochain complex on the exterior
 algebra of the dual, and computes weight-graded cohomology by exact rank
 computations over F_p or Q.  Independent of the coset-representative
-decomposition, so it can confirm it.
+decomposition, so it can confirm it.  The wedge sign of two sorted index
+sets, `merge_sign`, is defined here, where the differential and the cup
+product read it; this module does not import `ring`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from itertools import combinations
 from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
 from .linalg import Span
-from .ring import merge_sign
 from .rootsystem import RootSystem, build
 from .weyl import mask_bits
 
@@ -33,22 +34,18 @@ class OracleBudgetError(RuntimeError):
 # Structure constants
 
 
-def chevalley_constants(rs: RootSystem) -> dict:
-    """N[(i, j)] for positive-root indices i < j with gamma_i + gamma_j a
-    positive root: integral constants [x_i, x_j] = N * x_{i+j} satisfying
-    the Jacobi identity, with |N| = q + 1 from the root string and the
-    extraspecial pairs normalized to +.
+@lru_cache(maxsize=None)
+def chevalley_constants(label: str) -> tuple:
+    """((i, j), N) for positive-root indices i < j with gamma_i + gamma_j a
+    positive root, sorted: integral constants [x_i, x_j] = N * x_{i+j}
+    satisfying the Jacobi identity, with |N| = q + 1 from the root string
+    and the extraspecial pairs normalized to +.
 
     The other signs come from a forward solve with no search: passes over
     the Jacobi triples set each N that is the one unset value of a triple's
     identity, until every N is set; then every triple is checked.  A pass
     that sets nothing, a forced value that is not +-|N|, or a failed check
     raises RuntimeError."""
-    return dict(_constants_cached(rs.label))
-
-
-@lru_cache(maxsize=None)
-def _constants_cached(label: str):
     rs = build(label)
     pos = rs.positive_roots
     index = {g: k for k, g in enumerate(pos)}
@@ -135,7 +132,7 @@ def nilradical_constants(rs: RootSystem, roots) -> dict:
     index = {g: k for k, g in enumerate(roots)}
     pos = rs.positive_roots
     out = {}
-    for (i, j), val in _constants_cached(rs.label):
+    for (i, j), val in chevalley_constants(rs.label):
         gi, gj = pos[i], pos[j]
         if gi in index and gj in index:
             a, b = index[gi], index[gj]
@@ -147,6 +144,21 @@ def nilradical_constants(rs: RootSystem, roots) -> dict:
 
 # ----------------------------------------------------------------------
 # Chevalley-Eilenberg complex
+
+
+def merge_sign(left: tuple, right: tuple) -> int:
+    """Parity of the permutation sorting the concatenation of two sorted
+    index tuples (the passes of a right entry over larger left ones); 0 if
+    they intersect.  The sign of f_left ^ f_right in the sorted basis, read
+    by CEComplex.d_basis_element and cochain_cup, and the reference that
+    tests compare ring.mask_scalar's sign with."""
+    passes = 0
+    for x in left:
+        for y in right:
+            if x == y:
+                return 0
+            passes += x > y
+    return -1 if passes % 2 else 1
 
 
 class CEComplex:
@@ -161,7 +173,6 @@ class CEComplex:
             raise OracleBudgetError(
                 f"nilradical has {len(self.roots)} roots; oracle supports"
                 f" at most {MAX_ORACLE_ROOTS}")
-        self.index = {g: k for k, g in enumerate(self.roots)}
         self.N = nilradical_constants(rs, self.roots)
         # d f_k = -sum_{a<b, gamma_a+gamma_b=gamma_k} N_{ab} f_a ^ f_b
         self._d_gen: dict[int, dict] = {}

@@ -91,7 +91,6 @@ class RestrictedAlgebra:
         # [x_a, x_b] = c * x_k for nilradical positions a < b, c mod p
         self.bracket = {ab: (k, val % p) for ab, (k, val)
                         in nilradical_constants(rs, self.roots).items()}
-        self._check_restricted()
         self._mono_cache: dict = {}
         self.root_weights = [rs.root_to_fund(g) for g in self.roots]
         # the monomials by index, the first nonzero exponent of each, the
@@ -111,26 +110,6 @@ class RestrictedAlgebra:
             wt = tuple(sum(a * f[t] for a, f in zip(m, self.root_weights))
                        for t in range(rs.rank))
             self.by_weight.setdefault(wt, []).append(i)
-
-    def _check_restricted(self):
-        """(ad x_gamma)^p = 0: the adjoint operators are nilpotent of order
-        at most the root-string length, which must stay below p."""
-        for g in range(self.n):
-            mat = [[0] * self.n for _ in range(self.n)]
-            for (a, b), (k, c) in self.bracket.items():
-                if a == g:
-                    mat[k][b] = c
-                elif b == g:
-                    mat[k][a] = (-c) % self.p
-            cur = [row[:] for row in mat]
-            power = 1
-            while any(any(row) for row in cur) and power <= self.p:
-                cur = [[sum(cur[r][t] * mat[t][c] for t in range(self.n)) % self.p
-                        for c in range(self.n)] for r in range(self.n)]
-                power += 1
-            if power > self.p:
-                raise RuntimeError(
-                    "(ad x)^p != 0: outside the modeled restricted regime")
 
     # -- multiplication ------------------------------------------------
 

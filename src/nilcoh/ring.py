@@ -12,7 +12,9 @@ relations x_i x_j = -zeta^{-(gamma_i, gamma_j)} x_j x_i (i < j), that is
 x_j x_i = -zeta^{(gamma_i, gamma_j)} x_i x_j, and x_i^2 = 0.
 
 Both models multiply exterior classes by one rule, `mask_scalar`; at
-l = 1 its scalar is the classical sign.
+l = 1 its scalar is the classical sign.  Tests check that sign against
+`koszul.merge_sign`, the wedge sign of the cochain complex, which lives in
+`koszul` so that the Ext and CE-complex paths never execute this module.
 """
 
 from __future__ import annotations
@@ -63,20 +65,6 @@ class CycScalar(namedtuple("CycScalar", "sign exponent ell")):
         if self.exponent == 0:
             return f"{s}1"
         return f"{s}z^{self.exponent}"
-
-
-def merge_sign(left: tuple, right: tuple) -> int:
-    """Parity of the permutation sorting the concatenation of two sorted
-    index tuples (the passes of a right entry over larger left ones); 0 if
-    they intersect.  The reference for the sign of mask_scalar, and the
-    sign of koszul.cochain_cup and koszul.CEComplex.d_basis_element."""
-    passes = 0
-    for x in left:
-        for y in right:
-            if x == y:
-                return 0
-            passes += x > y
-    return -1 if passes % 2 else 1
 
 
 # ----------------------------------------------------------------------

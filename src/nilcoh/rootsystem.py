@@ -2,11 +2,12 @@
 
 Weights are tuples of integers in fundamental-weight coordinates.
 Roots are tuples of integers in simple-root coordinates.  Nothing here
-ever touches a float.  Root <-> weight conversions of roots and coroot
-pairings are integer table lookups built once per root system; only
-`fund_to_root` of an arbitrary weight needs exact rationals, and it
-loads `linalg` (and with it `fractions`) the first time it is called, so
-a caller that needs only roots and the Weyl group never loads either.
+ever touches a float.  A root's fundamental coordinates are an integer
+product with the Cartan matrix, and coroot pairings read an integer table
+built once per root system; only `fund_to_root`, from a weight back to
+root coordinates, needs exact rationals, and it loads `linalg` (and with
+it `fractions`) the first time it is called, so a caller that needs only
+roots and the Weyl group never loads either.
 A simple reflection s_i mu = mu - mu_i alpha_i reads only the nonzero
 entries of alpha_i in fundamental coordinates (at most four).
 
@@ -115,7 +116,6 @@ class RootSystem:
         self.simple_support = tuple(
             tuple((k, a) for k, a in enumerate(col) if a)
             for col in self._simple_fund)
-        self._all_roots = self._reflection_closure()
         self.rho = (1,) * rank
         self.positive_roots = self._convex_order()
         self.pos_index = {b: i for i, b in enumerate(self.positive_roots)}
@@ -124,8 +124,6 @@ class RootSystem:
         self.coroot_coords = tuple(self._coroot(b) for b in self.positive_roots)
         self.highest_short_root = self._highest_short()
         self.coxeter_number = self.pairing(self.rho, self.highest_short_root) + 1
-        # fund coords -> root coords, for every root
-        self.root_of_fund = {self.root_to_fund(b): b for b in self._all_roots}
         self._phi_j: dict[frozenset, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -137,22 +135,6 @@ class RootSystem:
         out = list(beta)
         out[i] -= pair
         return tuple(out)
-
-    def _reflection_closure(self) -> frozenset:
-        simple = [tuple(1 if j == i else 0 for j in range(self.rank))
-                  for i in range(self.rank)]
-        roots = set(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for i in range(self.rank):
-                    r = self._reflect_root(b, i)
-                    if r not in roots:
-                        roots.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return frozenset(roots)
 
     def _w0_word(self, J=None) -> tuple:
         """Reduced word for the longest element of W_J (J: every index when

@@ -20,7 +20,6 @@ from itertools import combinations
 from . import __version__ as TOOL_VERSION
 from .alcoves import (PreconditionError, RegimeError, admissibility,
                       require_prime, require_regime)
-from .characters import levi_simple_character
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
 
@@ -110,6 +109,10 @@ def search_sum_dot(rs: RootSystem, group: WeylGroup, p: int):
 def search_levi_weights(rs: RootSystem, group: WeylGroup, J, p: int):
     """All (mu1, mu2, mu3) with mu1 + mu2 = mu3 + p*sigma,
     sigma in ZPhi \\ {0}, mu_i in the support of L_J(w_i . 0), w_i in ^JW."""
+    # imported here, its one reader, so that the other searches never
+    # execute `characters`
+    from .characters import levi_simple_character
+
     t0 = time.time()
     J = tuple(sorted(set(J)))
     zero = (0,) * rs.rank

@@ -454,12 +454,17 @@ def _executed_by(statement, tmp_path) -> tuple[set, set]:
     (("kostant", "--type", "F4", "--J", "0,1"),
      CORE | {"characters", "kostant"}),
     (("verify", "sum-dot", "--type", "A3", "--p", "5"),
-     CORE | {"characters", "linalg", "verify"}),
+     CORE | {"linalg", "verify"}),
+    (("verify", "dot-collisions", "--type", "F4", "--p", "13",
+      "--lambda", "0,0,0,0"), CORE | {"verify"}),
     (("verify", "levi-weights", "--type", "B3", "--p", "7", "--J", "0"),
      CORE | {"characters", "linalg", "verify"}),
     (("ext", "--type", "B2", "--p", "5", "--max-degree", "3"),
-     CORE | {"characters", "koszul", "linalg", "restricted", "ring"}),
-], ids=["ring-table", "kostant", "sum-dot", "levi-weights", "ext"])
+     CORE | {"characters", "koszul", "linalg", "restricted"}),
+    (("oracle-koszul", "--type", "B3", "--p", "7"),
+     CORE | {"characters", "koszul", "linalg"}),
+], ids=["ring-table", "kostant", "sum-dot", "dot-collisions", "levi-weights",
+        "ext", "oracle-koszul"])
 def test_each_command_executes_only_the_modules_it_reads(argv, executed,
                                                          tmp_path):
     """In a fresh process, a command runs the bodies of the modules it reads

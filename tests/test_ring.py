@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcoh.alcoves import LinkageDatum, PreconditionError, admissibility
+from nilcoh.koszul import merge_sign
 from nilcoh.ring import (BasisClass, CohomologyRing, CycScalar,
-                         check_ring_laws, mask_scalar, merge_sign,
-                         nil_product, quantum_nil_product,
-                         quantum_straighten)
+                         check_ring_laws, mask_scalar, nil_product,
+                         quantum_nil_product, quantum_straighten)
 from nilcoh.rootsystem import build
 from nilcoh.verify import Violation
 from nilcoh.weyl import enumerate_group, mask_bits

@@ -117,9 +117,13 @@ def test_integer_root_tables():
     for label in ALL_SMALL_TYPES:
         rs = build(label)
         negatives = [tuple(-c for c in b) for b in rs.positive_roots]
-        assert len(rs.root_of_fund) == 2 * rs.num_positive
-        for b in rs.positive_roots + tuple(negatives):
-            assert rs.root_of_fund[rs.root_to_fund(b)] == b
+        # the 2N roots have distinct fundamental coordinates, closed under
+        # the simple reflections, so they are all of Phi
+        funds = {rs.root_to_fund(b)
+                 for b in rs.positive_roots + tuple(negatives)}
+        assert len(funds) == 2 * rs.num_positive
+        assert all(rs.reflect(f, i) in funds
+                   for f in funds for i in range(rs.rank))
         # <omega_i, beta^vee> = 2 (omega_i, beta) / (beta, beta), rationally,
         # with (mu, nu) = sum_j d_j mu_j (nu in root coordinates)_j
         def inner(mu, nu):

@@ -11,7 +11,12 @@ method whose name another class shares (`multiply` on WeylGroup, `one`
 on CycScalar) or that coincides with an attribute (`label`) counts as
 read, and a function that only calls itself counts as read too.
 
-A second guard keeps the package free of the modules that leave work for
+Likewise every attribute stored as `self.x = ...` should be read in
+src/nilcoh/, as `.x` in Load context or as getattr/hasattr with "x".  It
+matches names too, so an attribute that shares its name with one read
+elsewhere is not seen.
+
+A third guard keeps the package free of the modules that leave work for
 interpreter teardown, which the process entry point skips.
 """
 
@@ -35,8 +40,6 @@ UNREAD_IN_SRC = {
                      " nilbench/trace_runner.py patches it",
     "multiply_classes": "CohomologyRing's product cache;"
                         " nilbench/trace_runner.py counts its calls",
-    "chevalley_constants": "the structure constants of all of n^+; tests"
-                           " pin their Jacobi identity and sign hash",
     "quantum_straighten": "the reference that tests compare mask_scalar"
                           " with, by adjacent swaps",
 }
@@ -84,6 +87,47 @@ def test_every_source_name_is_read_in_src():
     assert unread == set(UNREAD_IN_SRC)
 
 
+# attribute -> why it is stored although nothing in src/ reads it
+STORED_UNREAD_IN_SRC = {
+    "order": "nilbench/trace_runner.py reads g.order",
+}
+
+
+def _stored_on_self(tree):
+    """The attributes stored as `self.x = ...` (plain, annotated, augmented
+    or in a tuple target) anywhere in the module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            yield node.attr
+
+
+def _attribute_reads(tree):
+    """`.x` in Load context, and the literal name in getattr(o, "x") or
+    hasattr(o, "x")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_stored_attribute_is_read_in_src():
+    """A table built in __init__ and read nowhere costs every process that
+    builds the object; a test that needs such a table builds it itself."""
+    stored, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stored.update(_stored_on_self(tree))
+        read.update(_attribute_reads(tree))
+    assert stored - read == set(STORED_UNREAD_IN_SRC)
+
+
 
 # Modules that can leave work for interpreter teardown: atexit handlers,
 # threads to join, temporary files to remove, log handlers to flush,
@@ -127,7 +171,7 @@ def test_no_module_leaves_work_for_interpreter_teardown():
 # import would run it in every process.
 EAGER_IMPORTS = {
     "cli.py": {"alcoves", "rootsystem", "weyl"},
-    "verify.py": {"alcoves", "characters", "rootsystem", "weyl"},
+    "verify.py": {"alcoves", "rootsystem", "weyl"},
 }
 
 
