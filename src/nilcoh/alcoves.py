@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import PreconditionError
 from .rootsystem import RootSystem
 from .weyl import WeylGroup
 
@@ -32,10 +33,6 @@ BOUNDS = {
     ("quantum", "weight-separation"): (lambda h, J: h, True,
                                        "quantum mode requires l > h = {bound}"),
 }
-
-
-class PreconditionError(ValueError):
-    """A stated precondition (alcove membership, modulus bound, gate) failed."""
 
 
 class RegimeError(PreconditionError):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from . import BudgetError
 from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
 from .linalg import Span
@@ -24,10 +25,6 @@ from .rootsystem import RootSystem, build
 from .weyl import mask_bits
 
 MAX_ORACLE_ROOTS = 14
-
-
-class OracleBudgetError(RuntimeError):
-    """The exterior algebra would exceed the supported size."""
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +167,7 @@ class CEComplex:
         self.J = tuple(sorted(set(J)))
         self.roots = rs.nilradical_roots(self.J)
         if len(self.roots) > MAX_ORACLE_ROOTS:
-            raise OracleBudgetError(
+            raise BudgetError(
                 f"nilradical has {len(self.roots)} roots; oracle supports"
                 f" at most {MAX_ORACLE_ROOTS}")
         self.N = nilradical_constants(rs, self.roots)

@@ -58,17 +58,14 @@ from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from operator import add, mul, sub
 
-from .alcoves import PreconditionError, require_prime
+from . import BudgetError, PreconditionError
+from .alcoves import require_prime
 from .characters import FormalCharacter, GradedCharacter
 from .koszul import nilradical_constants
 from .linalg import Span
 from .rootsystem import RootSystem
 
 DEFAULT_DIM_BUDGET = 5 ** 6
-
-
-class BudgetError(RuntimeError):
-    pass
 
 
 class RestrictedAlgebra:

@@ -22,17 +22,15 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
+from . import PreconditionError
+
 MAX_RANK = 8
-
-
-class UnsupportedTypeError(ValueError):
-    pass
 
 
 def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
     """Cartan matrix a[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering)."""
     if n > MAX_RANK:
-        raise UnsupportedTypeError(
+        raise PreconditionError(
             f"unsupported Cartan type {letter}{n}: rank is at most {MAX_RANK}")
     if letter == "A" and n >= 1:
         a = _chain(n)
@@ -64,7 +62,7 @@ def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
     elif letter == "G" and n == 2:
         a = [[2, -3], [-1, 2]]  # alpha_1 short, alpha_2 long
     else:
-        raise UnsupportedTypeError(f"unsupported Cartan type {letter}{n}")
+        raise PreconditionError(f"unsupported Cartan type {letter}{n}")
     return a
 
 

@@ -35,13 +35,10 @@ from math import factorial
 from operator import mul
 from pathlib import Path
 
+from . import BudgetError
 from .rootsystem import RootSystem
 
 DEFAULT_ORDER_BOUND = 10 ** 6
-
-
-class GroupTooLargeError(RuntimeError):
-    pass
 
 
 _WEYL_ORDERS = {"A": lambda n: factorial(n + 1),
@@ -206,7 +203,7 @@ def enumerate_group(rs: RootSystem) -> WeylGroup:
         return _GROUPS[rs.label]
     expected = _WEYL_ORDERS[rs.letter](rs.rank)
     if expected > DEFAULT_ORDER_BOUND:
-        raise GroupTooLargeError(
+        raise BudgetError(
             f"|W({rs.label})| = {expected} exceeds bound {DEFAULT_ORDER_BOUND}")
 
     group = _load_cache(rs)

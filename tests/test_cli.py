@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilcoh import cli
-from nilcoh.cli import COMMANDS, main
+from nilcoh.cli import COMMANDS, FLAG_SPECS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -482,11 +486,11 @@ def test_each_command_executes_only_the_modules_it_reads(argv, executed,
 @pytest.mark.parametrize("argv, message", [
     (("ext", "--type", "A3", "--p", "7"), "exceeds budget"),
     (("oracle-koszul", "--type", "E6", "--p", "7"), "oracle supports at most"),
-], ids=["BudgetError", "OracleBudgetError"])
+], ids=["ext", "oracle-koszul"])
 def test_errors_raised_in_lazily_run_modules_exit_2(argv, message, tmp_path):
-    """`restricted.BudgetError` and `koszul.OracleBudgetError` come from
-    modules the CLI runs only on first use; `main` still maps them to
-    exit 2, with no traceback."""
+    """The `BudgetError`s of `restricted` and `koszul` are raised in
+    modules the CLI runs only on first use; `main` maps them to exit 2,
+    with no traceback, through its one `PreconditionError` clause."""
     proc = subprocess.run([sys.executable, "-m", "nilcoh.cli", *argv],
                           env=_entry_env(tmp_path), capture_output=True,
                           text=True, timeout=120)
@@ -499,15 +503,82 @@ def test_errors_raised_in_lazily_run_modules_exit_2(argv, message, tmp_path):
 def test_closed_stdout_prints_no_traceback(tmp_path):
     """A reader that stops early (`| head -c 100`) closes the pipe while the
     payload, 160 kB here, is still being written."""
-    proc = subprocess.Popen([sys.executable, "-m", "nilcoh.cli", "ring-table",
-                             "--type", "B3", "--p", "11"],
-                            env=_subprocess_env(tmp_path),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen([sys.executable, "-m", "nilcoh.cli", "ring-table",
+                           "--type", "B3", "--p", "11"],
+                          env=_subprocess_env(tmp_path),
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+# Values for the flags each command declares: types inside and outside
+# what `build` and the Weyl bound accept, moduli that are prime, composite,
+# below 2 or not integers, and J and lambda entries out of range, negative
+# or not integers.
+TYPES = ("A1", "A2", "B2", "G2", "A0", "B1", "D2", "X2", "A9")
+MODULI = ("0", "1", "2", "3", "4", "5", "7", "9", "-3", "2.5")
+INDICES = ("0", "1", "2", "-1", "x")
+COORDS = ("0", "1", "3", "-1", "1.5")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([c for c, (_, flags) in COMMANDS.items()
+                                    if flags is not None]))
+    types = TYPES + ("E8",) if command == "weyl" else TYPES
+    argv = [*command.split(), "--type", draw(st.sampled_from(types))]
+    for flag in COMMANDS[command][1]:
+        if not draw(st.booleans()):
+            continue
+        if flag in ("p", "l"):
+            value = draw(st.sampled_from(MODULI))
+        elif flag in ("J", "lambda"):
+            value = ",".join(draw(st.lists(st.sampled_from(
+                INDICES if flag == "J" else COORDS), max_size=3)))
+        elif flag == "max-degree":
+            value = str(draw(st.integers(-1, 3)))
+        elif "choices" in FLAG_SPECS[flag]:
+            value = draw(st.sampled_from(FLAG_SPECS[flag]["choices"]))
+        else:  # --unsafe, --check-square
+            argv.append(f"--{flag}")
+            continue
+        argv += [f"--{flag}", value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example(["weyl", "--type", "E8"])
+@example(["ext", "--type", "G2", "--p", "7", "--max-degree", "1"])
+def test_every_command_line_exits_0_or_2(argv):
+    """Only a bug exits 1: a command line outside a regime, a size budget
+    or the grammar exits 2 with one `precondition failed` line or with
+    argparse's usage error, and never with a traceback.  The two explicit
+    examples, which random draws seldom reach, exceed the Weyl-order and
+    the algebra-dimension budgets."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            usage_error = False
+        except SystemExit as exc:
+            code, usage_error = exc.code, True
+    err = err.getvalue()
+    assert "Traceback" not in err, err
+    if code == 0:
+        assert err == "" and not usage_error
+        json.loads(out.getvalue())
+    elif usage_error:
+        assert code == 2
+        assert err.startswith("usage: nilcoh")
+        assert re.match(r"nilcoh[\w -]*: error: ", err.splitlines()[-1]), err
+    else:
+        assert code == 2, err
+        assert re.fullmatch(r"precondition failed: [^\n]+\n", err), err
 
 
 def test_help_lists_every_command_and_exactly_its_flags(capsys):

@@ -17,10 +17,13 @@ matches names too, so an attribute that shares its name with one read
 elsewhere is not seen.
 
 A third guard keeps the package free of the modules that leave work for
-interpreter teardown, which the process entry point skips.
+interpreter teardown, which the process entry point skips, and a fourth
+keeps every exception class the package defines a `PreconditionError`,
+the one refusal that the CLI maps to exit 2.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nilcoh"
@@ -127,6 +130,45 @@ def test_every_stored_attribute_is_read_in_src():
         read.update(_attribute_reads(tree))
     assert stored - read == set(STORED_UNREAD_IN_SRC)
 
+
+def _class_bases(tree):
+    """class name -> the names of its bases (`x.Error` read as `Error`)."""
+    return {node.name: [base.id if isinstance(base, ast.Name) else base.attr
+                        for base in node.bases
+                        if isinstance(base, (ast.Name, ast.Attribute))]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def test_every_exception_class_is_a_refusal():
+    """An exception class of the package derives from PreconditionError,
+    directly or through RegimeError or BudgetError, so `cli.main` maps it
+    to exit 2 in its one refusal clause; a bug raises a built-in exception
+    and exits 1.  Bases are resolved by name."""
+    bases = {}
+    for path in sorted(SRC.glob("*.py")):
+        bases.update(_class_bases(ast.parse(path.read_text(),
+                                            filename=str(path))))
+
+    def ancestors(name):
+        found, stack = set(), list(bases.get(name, ()))
+        while stack:
+            base = stack.pop()
+            if base not in found:
+                found.add(base)
+                stack.extend(bases.get(base, ()))
+        return found
+
+    def is_exception(name):
+        return any(isinstance(getattr(builtins, base, None), type)
+                   and issubclass(getattr(builtins, base), BaseException)
+                   for base in ancestors(name))
+
+    strays = {name for name in bases if is_exception(name)
+              and name != "PreconditionError"
+              and "PreconditionError" not in ancestors(name)}
+    assert not strays, (
+        f"{sorted(strays)} do not derive from PreconditionError, so the CLI"
+        " would report them as internal errors (exit 1)")
 
 
 # Modules that can leave work for interpreter teardown: atexit handlers,
