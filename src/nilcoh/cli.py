@@ -3,8 +3,11 @@
 Every subcommand prints a payload to stdout (JSON by default) whose header
 echoes every parsed flag.  Each subcommand (each `verify` search on
 its own) declares only the flags it reads, listed in COMMANDS; any
-other flag is a usage error.  Exit codes: 0 success, 2 usage error or a
-refused input, 1 internal error or a stdout closed early by its reader.
+other flag is a usage error.  `_run` parses every declared input once,
+before any command-specific work: --J, --lambda, and --p/--l through
+`_mode_modulus`, the one reader of a modulus.  Exit codes: 0 success,
+2 usage error or a refused input, 1 internal error or a stdout closed
+early by its reader.
 A refused input is a `nilcoh.PreconditionError` and nothing else: a
 failed precondition or gate, or a `BudgetError` (the violated condition
 or flag is named on stderr); any other exception is a bug.
@@ -36,7 +39,8 @@ import re
 import sys
 
 from . import PreconditionError
-from .alcoves import admissibility, in_alcove, require_regime, weak_linkage
+from .alcoves import (in_alcove, require_admissible, require_regime,
+                      weak_linkage)
 from .rootsystem import build
 from .weyl import enumerate_group
 
@@ -209,23 +213,29 @@ def _add_common(sp, flags):
     sp.add_argument("--format", choices=FORMATS, default="json")
 
 
-def _mode_modulus(args, rs):
-    l = getattr(args, "l", None)  # `verify suite` has no --l
-    if l is not None and getattr(args, "p", None) is not None:
-        raise PreconditionError(
-            "give --p (modular) or --l (quantum), not both")
-    if l is not None:
-        mode, flag, modulus = "quantum", "--l", l
-    elif args.p is not None:
-        mode, flag, modulus = "modular", "--p", args.p
-    elif hasattr(args, "l"):
-        raise PreconditionError("specify --p (modular) or --l (quantum)")
-    else:
-        raise PreconditionError("verify suite needs --p")
+def _mode_modulus(args, rs, name, flags):
+    """(mode, modulus) from the --p or --l that the command declares: the
+    only reader of either flag.  It refuses both given, neither given
+    (but `kostant` then takes the classical mode), a value below 2 and a
+    composite p.  A command that declares neither, or `oracle-koszul
+    --field Q`, gets ("classical", None)."""
+    declared = [f for f in ("p", "l") if f in flags]
+    if not declared or "field" in flags and args.field == "Q":
+        return "classical", None
+    options = " or ".join(f"--{f}" for f in declared)
+    given = [f for f in declared if getattr(args, f) is not None]
+    if len(given) > 1:
+        raise PreconditionError(f"{name} takes {options}, not both")
+    if not given:
+        if name == "kostant":
+            return "classical", None
+        raise PreconditionError(f"{name} needs {options}")
+    flag = given[0]
+    modulus = getattr(args, flag)
     if modulus < 2:
-        raise PreconditionError(f"{flag} must be at least 2, got {modulus}")
-    if hasattr(args, "l"):  # consistency_suite gates its p under its own name
-        require_regime(mode, modulus, rs)
+        raise PreconditionError(f"--{flag} must be at least 2, got {modulus}")
+    mode = "modular" if flag == "p" else "quantum"
+    require_regime(mode, modulus, rs)
     return mode, modulus
 
 
@@ -281,20 +291,30 @@ def build_parser(argv):
     return ap
 
 
+def _s2_s1_dot_0(rs) -> tuple:
+    """s2 s1 . 0 = s2 s1 rho - rho, by two simple reflections, without W."""
+    return tuple(a - r for a, r in zip(rs.reflect(rs.reflect(rs.rho, 0), 1),
+                                       rs.rho))
+
+
 def _run(args) -> dict:
     rs = _parse_type(args.type)
     cmd = args.command
-    if getattr(args, "max_degree", 0) < 0:
+    name = f"verify {args.search}" if cmd == "verify" else cmd
+    flags = COMMANDS[name][1]
+    if "max-degree" in flags and args.max_degree < 0:
         raise PreconditionError(
             f"max_degree must be >= 0, got {args.max_degree}")
-
-    if cmd == "rootsys":
-        return rs.to_json()
-
-    J = _parse_J(args.J) if hasattr(args, "J") else ()
+    J = _parse_J(args.J) if "J" in flags else ()
     for i in J:
         if not 0 <= i < rs.rank:
             raise PreconditionError(f"J index {i} out of range for {rs.label}")
+    mode, modulus = _mode_modulus(args, rs, name, flags)
+    lam = (_parse_lambda(args, rs.rank, cmd in ("alcove", "linkage"))
+           if "lambda" in flags else None)
+
+    if cmd == "rootsys":
+        return rs.to_json()
 
     if cmd == "weyl":
         group = enumerate_group(rs)
@@ -307,8 +327,6 @@ def _run(args) -> dict:
         }
 
     if cmd == "alcove":
-        mode, modulus = _mode_modulus(args, rs)
-        lam = _parse_lambda(args, rs.rank, required=True)
         return {
             "lambda": list(lam),
             "interior": in_alcove(lam, modulus, rs, closed=False),
@@ -316,8 +334,6 @@ def _run(args) -> dict:
         }
 
     if cmd == "linkage":
-        mode, modulus = _mode_modulus(args, rs)
-        lam = _parse_lambda(args, rs.rank, required=True)
         datum = weak_linkage(lam, modulus, rs, enumerate_group(rs))
         if datum is None:
             return {"lambda": list(lam), "linked": False}
@@ -326,11 +342,6 @@ def _run(args) -> dict:
                 "sigma": list(datum.sigma), "modulus": modulus}
 
     if cmd == "kostant":
-        if args.p is None and args.l is None:
-            mode, modulus = "classical", None
-        else:
-            mode, modulus = _mode_modulus(args, rs)
-        lam = _parse_lambda(args, rs.rank)
         kd = kostant.kostant_decomposition(lam, J, rs, enumerate_group(rs),
                                            mode, modulus)
         out = kd.to_json()
@@ -339,8 +350,6 @@ def _run(args) -> dict:
         return out
 
     if cmd in ("character", "t1-invariants"):
-        mode, modulus = _mode_modulus(args, rs)
-        lam = _parse_lambda(args, rs.rank)
         group = enumerate_group(rs)
         if cmd == "t1-invariants":
             gc = kostant.t1_invariants(lam, modulus, rs, group)
@@ -358,7 +367,6 @@ def _run(args) -> dict:
                 "degrees": gc.to_json(), "dims": gc.dims()}
 
     if cmd == "ring-table":
-        mode, modulus = _mode_modulus(args, rs)
         cr = ring.CohomologyRing(rs, enumerate_group(rs), J, "classical"
                                  if mode == "modular" else mode, modulus,
                                  unsafe=args.unsafe)
@@ -370,38 +378,29 @@ def _run(args) -> dict:
         }
 
     if cmd == "quantum":
-        if args.l is None:
-            raise PreconditionError("quantum needs --l")
-        _, l = _mode_modulus(args, rs)
-        require_regime("quantum", l, rs, "base")
         return {
-            "l": l,
-            "admissibility": admissibility(l, rs, "base")[0].flags(),
+            "l": modulus,
+            "admissibility": require_admissible(modulus, rs, "base").flags(),
             "square_free_basis_count": 2 ** rs.num_positive,
         }
 
     if cmd == "oracle-koszul":
-        p = args.p if args.field == "Fp" else None
-        gc = koszul.oracle_cohomology(J, rs, field=args.field, p=p)
-        return {"J": list(J), "field": args.field, "p": p,
+        gc = koszul.oracle_cohomology(J, rs, field=args.field, p=modulus)
+        return {"J": list(J), "field": args.field, "p": modulus,
                 "dims": gc.dims(), "degrees": gc.to_json()}
 
     if cmd == "ext":
-        if args.p is None:
-            raise PreconditionError("ext needs --p")
         if args.check_square and rs.rank < 2:
             raise PreconditionError("--check-square needs rank >= 2")
         if args.check_square and args.max_degree < 4:
             raise PreconditionError(
                 "--check-square needs --max-degree >= 4 (the square of a"
                 " degree-2 class lies in degree 4)")
-        alg = restricted.build_algebra(J, args.p, rs)
+        alg = restricted.build_algebra(J, modulus, rs)
         gc, res = restricted.ext_dims(alg, args.max_degree)
         example = None
         if args.check_square:
-            group = enumerate_group(rs)
-            sb_sa = group.multiply(group.simple[1], group.simple[0])
-            wt = sb_sa.dot((0,) * rs.rank, rs)
+            wt = _s2_s1_dot_0(rs)
             found = len(restricted.find_class_by_weight(res, 2, wt))
             if found != 1:
                 raise PreconditionError(
@@ -412,7 +411,6 @@ def _run(args) -> dict:
         return restricted.certificate(res, example)
 
     if cmd == "verify":
-        mode, modulus = _mode_modulus(args, rs)
         group = enumerate_group(rs)
         if args.search == "sum-dot":
             _, cert = verify.search_sum_dot(rs, group, modulus)
@@ -421,10 +419,9 @@ def _run(args) -> dict:
             _, cert = verify.search_levi_weights(rs, group, J, modulus)
             return cert
         if args.search == "dot-collisions":
-            lam = _parse_lambda(args, rs.rank)
             _, cert = verify.search_dot_collisions(
                 rs, group, lam, modulus, args.domain,
-                quantum=args.l is not None)
+                quantum=mode == "quantum")
             return cert
         return verify.consistency_suite(rs, group, modulus)
 

@@ -35,9 +35,6 @@ class KostantDecomposition:
         gc = GradedCharacter()
         for w, deg, hw in self.entries:
             gc.set_degree(deg, gc[deg] + levi_simple_character(hw, self.J, self.rs))
-        top = max(deg for _, deg, _ in self.entries)
-        for n in range(top + 1):
-            gc.set_degree(n, gc[n])
         return gc
 
     def poincare(self) -> list[int]:

@@ -48,9 +48,6 @@ def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
         a[n - 1][n - 1] = 2
         a[n - 1][n - 3] = a[n - 3][n - 1] = -1
         a[n - 1][n - 2] = a[n - 2][n - 1] = 0
-        if n == 3:
-            # D3 = A3 with fork at node 1
-            a = [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]]
     elif letter == "E" and n in (6, 7, 8):
         edges = [(1, 3), (3, 4), (4, 5), (2, 4), (5, 6), (6, 7), (7, 8)]
         a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]

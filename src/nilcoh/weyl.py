@@ -85,12 +85,6 @@ class WeylElement:
         return "*".join(f"s{i + 1}" for i in self.word)
 
 
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
 def _times_simple(m: tuple, i: int, rs: RootSystem) -> tuple:
     """m * s_i.  s_i (`RootSystem.reflect`) differs from the identity only
     in column i, which is e_i - alpha_i, so only column i of m changes, by
@@ -124,8 +118,6 @@ class WeylGroup:
         self.by_matrix = {w.matrix: w for w in elements}
         self.order = len(elements)
         self.identity = self.by_matrix[_identity(rs.rank)]
-        self.simple = [self.by_matrix[_times_simple(self.identity.matrix, i, rs)]
-                       for i in range(rs.rank)]
         self.longest = max(elements, key=lambda w: w.length)
         self._masks: dict[WeylElement, int] = {}
         self._by_mask: dict[int, WeylElement] | None = None
@@ -136,9 +128,6 @@ class WeylGroup:
         for w in self.elements:
             coeffs[w.length] += 1
         return coeffs
-
-    def multiply(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        return self.by_matrix[_mat_mul(w1.matrix, w2.matrix)]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         # (s_i1 ... s_ik)^-1 = s_ik ... s_i1: each s_i is an involution

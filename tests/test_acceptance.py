@@ -23,6 +23,8 @@ from nilcoh.rootsystem import build
 from nilcoh.verify import search_dot_collisions, search_sum_dot
 from nilcoh.weyl import enumerate_group
 
+from conftest import times
+
 
 def _report(name, ok, t0, budget):
     elapsed = time.time() - t0
@@ -102,8 +104,7 @@ def test_criterion_5_restricted_ext(b2_p5):
     rs, g, _, gc, res = b2_p5
     fk = frobenius_kernel_character((0, 0), (), rs, g, "modular", 5, 4)
     ok = gc.dims() == [1, 2, 6, 10, 19] and gc == fk.collapse()
-    sb_sa = g.multiply(g.simple[1], g.simple[0])
-    cert = square_certificate(res, 2, sb_sa.dot((0, 0), rs))
+    cert = square_certificate(res, 2, times(g, 1, 0).dot((0, 0), rs))
     ok = ok and cert["nonzero"] is True
     _report("criterion 5: restricted Ext reproduces dims/weights and"
             " z^2 != 0", ok, t0, 600)

@@ -13,8 +13,22 @@ from hypothesis import strategies as st
 
 from nilcoh import cli
 from nilcoh.cli import COMMANDS, FLAG_SPECS, main
+from nilcoh.rootsystem import build
+from nilcoh.weyl import enumerate_group
+
+from conftest import times
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each command that reads a modulus, with the modulus flags it declares
+MODULUS_FLAGS = {name: [f for f in ("p", "l") if f in flags]
+                 for name, (_, flags) in COMMANDS.items()
+                 if flags and ("p" in flags or "l" in flags)}
+
+
+def _a2_argv(name, *modulus):
+    lam = ("--lambda", "0,0") if "lambda" in COMMANDS[name][1] else ()
+    return (*name.split(), "--type", "A2", *modulus, *lam)
 
 
 def run_cli(capsys, *argv):
@@ -78,8 +92,15 @@ def test_exit_code_2_on_bad_lambda(capsys):
 
 
 def test_exit_code_2_on_missing_modulus(capsys):
-    code, _, err = run_cli(capsys, "ext", "--type", "A2")
-    assert code == 2
+    """A command given neither of its modulus flags names itself and
+    them; `kostant` alone computes the classical case instead."""
+    for name, declared in MODULUS_FLAGS.items():
+        if name != "kostant":
+            options = " or ".join(f"--{f}" for f in declared)
+            _assert_input_error(capsys, _a2_argv(name),
+                                f"{name} needs {options}")
+    data = run_json(capsys, *_a2_argv("kostant"))
+    assert data["mode"] == "classical" and data["modulus"] is None
 
 
 def test_rootsys_payload(capsys):
@@ -238,11 +259,12 @@ def test_lambda_defaults_to_zero_weight(capsys):
 
 
 def test_commands_that_read_no_weyl_group_build_none(capsys, monkeypatch):
-    """`oracle-koszul`, `quantum` and `ext` without --check-square never
-    read W, so they give the same payloads when building W fails."""
+    """`oracle-koszul`, `quantum` and `ext` (with --check-square too)
+    never read W, so they give the same payloads when building W fails."""
     argvs = (("oracle-koszul", "--type", "A2", "--p", "5"),
              ("quantum", "--type", "A2", "--l", "5"),
-             ("ext", "--type", "A2", "--p", "5", "--max-degree", "2"))
+             ("ext", "--type", "A2", "--p", "5", "--max-degree", "2"),
+             ("ext", "--type", "A2", "--p", "5", "--check-square"))
     expected = [run_json(capsys, *argv) for argv in argvs]
 
     def refuse(rs):
@@ -250,9 +272,6 @@ def test_commands_that_read_no_weyl_group_build_none(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_group", refuse)
     assert [run_json(capsys, *argv) for argv in argvs] == expected
-    code, _, err = run_cli(capsys, "ext", "--type", "A2", "--p", "5",
-                           "--check-square")
-    assert code == 1 and "W(A2) was built" in err
 
 
 def test_exit_code_2_on_weyl_group_too_large(capsys):
@@ -319,14 +338,27 @@ def test_exit_code_2_on_p_with_l(capsys, command):
     assert "--p" in err and "--l" in err and "internal error" not in err
 
 
-@pytest.mark.parametrize("search", ("sum-dot", "levi-weights",
-                                    "dot-collisions"))
-@pytest.mark.parametrize("flag,value", (("--p", "0"), ("--l", "0"),
-                                        ("--p", "-5"), ("--p", "1")))
-def test_exit_code_2_on_modulus_below_2(capsys, search, flag, value):
-    _assert_input_error(capsys, ("verify", search, "--type", "A2",
-                                 flag, value),
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param(name, flag, value,
+                 id=f"{flag}-{value}-{name.rpartition(' ')[2]}")
+    for name, declared in MODULUS_FLAGS.items()
+    for flag, value in (("--p", "0"), ("--l", "0"), ("--p", "-5"),
+                        ("--p", "1"), ("--l", "1"))
+    if flag[2:] in declared])
+def test_exit_code_2_on_modulus_below_2(capsys, command, flag, value):
+    """Every command that reads --p or --l gates it the same way; `ext`
+    and `oracle-koszul` used to refuse --p 1 only as not prime."""
+    _assert_input_error(capsys, _a2_argv(command, flag, value),
                         f"{flag} must be at least 2, got {value}")
+
+
+@pytest.mark.parametrize("label", ("B2", "C2", "G2", "A3", "B3", "C3", "D4",
+                                   "F4", "A4", "B4", "D5", "E6"))
+def test_check_square_weight_is_the_group_product(label):
+    """`ext --check-square` finds s2 s1 . 0 by two reflections, not in W."""
+    rs = build(label)
+    expected = times(enumerate_group(rs), 1, 0).dot((0,) * rs.rank, rs)
+    assert cli._s2_s1_dot_0(rs) == expected
 
 
 @pytest.mark.parametrize("degree", ("1", "2", "3"))

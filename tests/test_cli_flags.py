@@ -7,11 +7,13 @@ commands used to accept without reading them (for `t1-invariants`, those
 `character --which t1` took): each must now exit 2 with the flag named on
 stderr and nothing on stdout.  The parser drift guard
 parses every benchmark job and every README CLI example, so that a flag
-removed by mistake fails here rather than in the benchmark.
+removed by mistake fails here rather than in the benchmark; it also runs
+each README example and checks the values its comment states.
 """
 
 import importlib.util
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -206,10 +208,20 @@ def _benchmark_jobs():
 
 
 def _readme_examples():
+    """(argv, comment) of each `nilcoh` line in the README's CLI block."""
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line, comments=True)[1:]
+    return [(shlex.split(line, comments=True)[1:], line.partition("#")[2])
             for line in block.splitlines() if line.startswith("nilcoh ")]
+
+
+# a value a README comment states -> how the JSON payload shows it
+README_CLAIMS = (
+    (r"dims ([\d,]+)", lambda m, out: out["dims"] == json.loads(f"[{m}]")),
+    (r"(\d+) violations", lambda m, out: len(out["violations"]) == int(m)),
+    (r"(\d+) monomials",
+     lambda m, out: out["square_free_basis_count"] == int(m)),
+)
 
 
 @pytest.mark.parametrize("job", _benchmark_jobs(), ids=lambda job: job.id)
@@ -218,8 +230,16 @@ def test_benchmark_job_parses(job):
     assert args.type == job.cartan_type
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_parse(capsys):
     examples = _readme_examples()
     assert len(examples) >= 8
-    for argv in examples:
+    claims = 0
+    for argv, comment in examples:
         build_parser(argv).parse_args(argv)
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        for pattern, holds in README_CLAIMS:
+            for value in re.findall(pattern, comment):
+                assert holds(value, json.loads(out)), (argv, comment)
+                claims += 1
+    assert claims == 4

@@ -11,6 +11,8 @@ from nilcoh.kostant import kostant_decomposition
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
+from conftest import times
+
 
 def test_constants_a2():
     rs = build("A2")
@@ -154,7 +156,7 @@ def test_fp_entry_points_reject_composite_p():
     with pytest.raises(PreconditionError):
         oracle_cohomology((), rs, "Fp", 6)
     with pytest.raises(PreconditionError):
-        cochain_cup(g.simple[0], g.simple[1], g, rs, field="Fp", p=9)
+        cochain_cup(times(g, 0), times(g, 1), g, rs, field="Fp", p=9)
     for w1 in g.elements:
         for w2 in g.elements:
             over_q = cochain_cup(w1, w2, g, rs, field="Q")
@@ -174,7 +176,7 @@ def test_oracle_euler_characteristic():
 def test_cochain_cup_identity_and_vanishing():
     rs = build("A2")
     g = enumerate_group(rs)
-    s1, s2 = g.simple
+    s1, s2 = times(g, 0), times(g, 1)
     assert cochain_cup(g.identity, s1, g, rs) == {s1: 1}
     assert cochain_cup(s1, s2, g, rs) == {}  # lands in coboundaries
     assert cochain_cup(s1, s1, g, rs) == {}  # overlapping inversion sets
@@ -183,8 +185,8 @@ def test_cochain_cup_identity_and_vanishing():
 def test_cochain_cup_top_class_sign():
     rs = build("A2")
     g = enumerate_group(rs)
-    s1, s2 = g.simple
-    s2s1 = g.multiply(s2, s1)
+    s1, s2 = times(g, 0), times(g, 1)
+    s2s1 = times(g, 1, 0)
     res = cochain_cup(s1, s2s1, g, rs)
     assert res == {g.longest: 1}
     # graded commutativity: degree 1 x degree 2 commutes

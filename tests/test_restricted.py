@@ -21,6 +21,8 @@ from nilcoh.restricted import (BudgetError, MinimalResolution,
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
+from conftest import times
+
 
 def test_algebra_dimensions():
     assert build_algebra((), 3, build("A1")).dimension == 3
@@ -120,8 +122,7 @@ def test_h1_weights_are_negated_simples():
 
 def test_b2_square_nonzero(b2_p5):
     rs, g, _, _, res = b2_p5
-    sb_sa = g.multiply(g.simple[1], g.simple[0])
-    wt = sb_sa.dot((0, 0), rs)
+    wt = times(g, 1, 0).dot((0, 0), rs)
     cert = square_certificate(res, 2, wt)
     assert cert["nonzero"] is True
     assert cert["degree"] == 4
@@ -210,7 +211,7 @@ def test_resolution_reads_only_the_named_algebra_members(label, p, J,
     example = None
     if degree >= 4:
         group = enumerate_group(rs)
-        wt = group.multiply(group.simple[1], group.simple[0]).dot((0, 0), rs)
+        wt = times(group, 1, 0).dot((0, 0), rs)
         example = square_certificate(seen, 2, wt)
         assert example == square_certificate(direct, 2, wt)
         assert example["nonzero"] is True
@@ -266,7 +267,7 @@ def test_find_class_by_weight():
     g = enumerate_group(rs)
     alg = build_algebra((), 5, rs)
     _, res = ext_dims(alg, 2)
-    wt = g.multiply(g.simple[1], g.simple[0]).dot((0, 0), rs)
+    wt = times(g, 1, 0).dot((0, 0), rs)
     assert len(find_class_by_weight(res, 2, wt)) == 1
 
 

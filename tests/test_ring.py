@@ -13,6 +13,8 @@ from nilcoh.rootsystem import build
 from nilcoh.verify import Violation
 from nilcoh.weyl import enumerate_group, mask_bits
 
+from conftest import times
+
 
 def _setup(label):
     rs = build(label)
@@ -40,7 +42,7 @@ def test_cyc_scalar_normal_form():
     assert CycScalar(1, 12, 5) == CycScalar(1, 2, 5)
     assert hash(CycScalar(1, 12, 5)) == hash(CycScalar(1, 2, 5))
     g = enumerate_group(build("A2"))
-    s1 = g.simple[0]
+    s1 = times(g, 0)
     assert hash(BasisClass((1, 0, 0), s1)) == hash(BasisClass((1, 0, 0), s1))
     assert len({BasisClass((1, 0, 0), s1), BasisClass((1, 0, 0), s1),
                 BasisClass((0, 0, 0), s1)}) == 2
@@ -78,7 +80,7 @@ def test_merge_sign():
 
 def test_nil_product_identity_and_vanishing():
     rs, g = _setup("A2")
-    s1, s2 = g.simple
+    s1, s2 = times(g, 0), times(g, 1)
     assert nil_product(s1, g.identity, rs, g) == (1, s1)
     assert nil_product(s1, s2, rs, g) is None  # union not an inversion set
     assert nil_product(s1, s1, rs, g) is None
@@ -86,12 +88,12 @@ def test_nil_product_identity_and_vanishing():
 
 def test_nil_product_top_class():
     rs, g = _setup("A2")
-    s1, s2 = g.simple
-    s2s1 = g.multiply(s2, s1)
+    s1, s2 = times(g, 0), times(g, 1)
+    s2s1 = times(g, 1, 0)
     # Phi(s1) = {alpha1} (index 0), Phi(s2s1) = {alpha1+alpha2, alpha2}
     # (indices 1, 2): merge (0 | 1, 2) is already sorted
     assert nil_product(s1, s2s1, rs, g) == (1, g.longest)
-    s1s2 = g.multiply(s1, s2)
+    s1s2 = times(g, 0, 1)
     # Phi(s2) = {alpha2} = index 2, Phi(s1s2) = indices {0, 1}:
     # merge (2 | 0, 1) needs two transpositions
     assert nil_product(s2, s1s2, rs, g) == (1, g.longest)
@@ -123,7 +125,7 @@ def test_classical_bound_gate_and_unsafe():
 def test_full_product_tensor_structure():
     rs, g = _setup("A2")
     ring = CohomologyRing(rs, g, (), "classical", 7)
-    s1 = g.simple[0]
+    s1 = times(g, 0)
     x = BasisClass((1, 0, 0), g.identity)
     y = BasisClass((0, 0, 0), s1)
     one = BasisClass((0, 0, 0), g.identity)
@@ -329,13 +331,13 @@ def _redirect_target(ring):
 
 def _break_identity(ring):
     table = ring.exterior_table()
-    a = ring.group.simple[0]
+    a = times(ring.group, 0)
     table[ring.group.identity, a] = (-table[ring.group.identity, a][0], a)
 
 
 def _nonzero_square(ring):
     table = ring.exterior_table()
-    a = ring.group.simple[0]
+    a = times(ring.group, 0)
     table[a, a] = (CycScalar.one(ring.ell), ring.group.longest)
 
 

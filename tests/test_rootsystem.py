@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcoh.rootsystem import build
-from nilcoh.weyl import _mat_mul, _times_simple
+from nilcoh.weyl import _times_simple
+
+from conftest import mat_mul
 
 SUPPORTED = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
              + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
@@ -200,5 +202,5 @@ def test_support_steps_match_dense_reflections(label, data):
     col = [row[i] for row in rs.cartan]
     assert rs.reflect(mu, i) == tuple(m - mu[i] * a for m, a in zip(mu, col))
     m = data.draw(st.tuples(*[st.tuples(*[ints] * n)] * n))
-    assert _times_simple(m, i, rs) == _mat_mul(
+    assert _times_simple(m, i, rs) == mat_mul(
         m, _dense_simple_reflection(rs, i))

@@ -7,9 +7,9 @@ attribute of an Attribute node, anywhere in the package.  Dunder names
 are left out: the interpreter reads them.
 
 The guard is a floor, not a proof.  It matches names, not bindings, so a
-method whose name another class shares (`multiply` on WeylGroup, `one`
-on CycScalar) or that coincides with an attribute (`label`) counts as
-read, and a function that only calls itself counts as read too.
+method whose name is also a local variable's (`one` on CycScalar) or
+that coincides with an attribute (`label`) counts as read, and a
+function that only calls itself counts as read too.
 
 Likewise every attribute stored as `self.x = ...` should be read in
 src/nilcoh/, as `.x` in Load context or as getattr/hasattr with "x".  It

@@ -11,6 +11,8 @@ from nilcoh import weyl
 from nilcoh.rootsystem import build
 from nilcoh.weyl import enumerate_group
 
+from conftest import times
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -37,9 +39,9 @@ def test_longest_element():
 def test_inversion_sets():
     rs = build("A2")
     g = enumerate_group(rs)
-    s1, s2 = g.simple
+    s1 = times(g, 0)
     assert list(g.inversion_set(s1)) == [(1, 0)]
-    s1s2 = g.multiply(s1, s2)
+    s1s2 = times(g, 0, 1)
     assert set(g.inversion_set(s1s2)) == {(1, 0), (1, 1)}
     assert len(g.inversion_set(g.longest)) == 3
 
@@ -80,9 +82,9 @@ def test_min_coset_reps():
 def test_dot_action_examples():
     rs = build("B2")
     g = enumerate_group(rs)
-    sa, sb = g.simple  # alpha = long simple, beta = short simple
-    sbsa = g.multiply(sb, sa)
-    sasb = g.multiply(sa, sb)
+    # s_a = s1 (alpha long simple), s_b = s2 (beta short simple)
+    sbsa = times(g, 1, 0)
+    sasb = times(g, 0, 1)
     # (s_b s_a).0 = -alpha - 3 beta, (s_a s_b).0 = -2 alpha - beta
     assert rs.fund_to_root(sbsa.dot((0, 0), rs)) == (-1, -3)
     assert rs.fund_to_root(sasb.dot((0, 0), rs)) == (-2, -1)
@@ -92,8 +94,8 @@ def test_inverse_and_multiply_consistency():
     for label in ("G2", "A3", "B3", "D4", "F4"):
         g = enumerate_group(build(label))
         for w in g.elements:
-            assert g.multiply(w, g.inverse(w)) == g.identity
-            assert g.multiply(g.inverse(w), w) == g.identity
+            assert times(g, w, g.inverse(w)) == g.identity
+            assert times(g, g.inverse(w), w) == g.identity
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
@@ -206,10 +208,7 @@ def test_damaged_cache_tampered_word_is_recomputed(tmp_path, monkeypatch):
     assert weyl._load_cache(build("B2")) is None
     g = _reload("B2")
     for w in g.elements:
-        m = g.identity.matrix
-        for i in w.word:
-            m = g.multiply(g.by_matrix[m], g.simple[i]).matrix
-        assert m == w.matrix
+        assert times(g, *w.word) == w
 
 
 def test_damaged_cache_non_reduced_words_are_recomputed(tmp_path, monkeypatch):
@@ -224,7 +223,7 @@ def test_damaged_cache_non_reduced_words_are_recomputed(tmp_path, monkeypatch):
     entries = [{"matrix": [list(r) for r in m], "word": []}]
     for k in range(5):
         w = g.by_matrix[m]
-        m = g.multiply(w, g.simple[k % 2]).matrix
+        m = times(g, w, k % 2).matrix
         words.append(words[-1] + (k % 2,))
         entries.append({"matrix": [list(r) for r in m],
                         "word": list(words[-1])})
